@@ -21,7 +21,8 @@ void BlockCache::clear() {
 
 std::shared_ptr<const void> BlockCache::get_erased(std::size_t field,
                                                    std::size_t block,
-                                                   std::size_t elem_size) {
+                                                   std::size_t elem_size,
+                                                   std::size_t min_bytes) {
   if (!enabled()) {
     // Disabled caches don't count misses: the counters should describe
     // cache behaviour, not reads that never opted in.
@@ -29,7 +30,8 @@ std::shared_ptr<const void> BlockCache::get_erased(std::size_t field,
   }
   std::lock_guard lock(mutex_);
   const auto it = map_.find(Key{field, block});
-  if (it == map_.end() || it->second->elem_size != elem_size) {
+  if (it == map_.end() || it->second->elem_size != elem_size ||
+      it->second->bytes < min_bytes) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -50,8 +52,11 @@ void BlockCache::put_erased(std::size_t field, std::size_t block,
     const Key key{field, block};
     const auto it = map_.find(key);
     if (it != map_.end()) {
-      // Concurrent decoders can race to insert the same block; keep the
-      // newcomer (both decode identical values) and fix the accounting.
+      // A resident entry with more of the block stays: the newcomer's
+      // values are a prefix of it.  Otherwise concurrent decoders raced
+      // on the block, or a longer decode replaces a prefix; keep the
+      // newcomer and fix the accounting.
+      if (it->second->bytes > bytes) return;
       bytes_.fetch_sub(it->second->bytes, std::memory_order_relaxed);
       graveyard.push_back(std::move(it->second->data));
       lru_.erase(it->second);

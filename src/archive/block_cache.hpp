@@ -12,6 +12,13 @@
 // cache outright: get() always misses and put() is a no-op, so a reader
 // that never opts in pays one branch per block and nothing else.  An entry
 // larger than the whole capacity is never admitted.
+//
+// An entry may hold only a block's leading values (the reader decodes a
+// prefix of the block's planes when a whole block would not fit without
+// evicting).  The three-argument get() hits only when the entry covers the
+// values the read needs — a shorter entry counts as a miss and is replaced
+// by the longer decode — and put() never replaces an entry with a shorter
+// one.
 #pragma once
 
 #include <atomic>
@@ -41,6 +48,14 @@ class BlockCache {
     return bytes_.load(std::memory_order_relaxed);
   }
 
+  /// Could an entry of `bytes` be admitted now without evicting anything?
+  /// (false when disabled; a snapshot — concurrent puts may change it).
+  [[nodiscard]] bool has_room(std::size_t bytes) const noexcept {
+    const std::size_t cap = capacity();
+    const std::size_t used = resident_bytes();
+    return cap > 0 && used <= cap && bytes <= cap - used;
+  }
+
   [[nodiscard]] std::uint64_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
   }
@@ -62,12 +77,21 @@ class BlockCache {
   template <typename T>
   [[nodiscard]] std::shared_ptr<const std::vector<T>> get(std::size_t field,
                                                           std::size_t block) {
-    return std::static_pointer_cast<const std::vector<T>>(
-        get_erased(field, block, sizeof(T)));
+    return get<T>(field, block, 0);
   }
 
-  /// Insert (or refresh) a decoded block.  No-op when disabled or when the
-  /// entry alone exceeds the capacity.
+  /// Lookup that hits only when the entry holds at least `min_values`
+  /// leading values; a shorter entry counts as a miss and returns null.
+  template <typename T>
+  [[nodiscard]] std::shared_ptr<const std::vector<T>> get(
+      std::size_t field, std::size_t block, std::size_t min_values) {
+    return std::static_pointer_cast<const std::vector<T>>(
+        get_erased(field, block, sizeof(T), min_values * sizeof(T)));
+  }
+
+  /// Insert (or refresh) a decoded block, or a prefix of one.  No-op when
+  /// disabled, when the entry alone exceeds the capacity, or when a longer
+  /// entry for the block is already resident.
   template <typename T>
   void put(std::size_t field, std::size_t block,
            std::shared_ptr<const std::vector<T>> data) {
@@ -100,7 +124,8 @@ class BlockCache {
 
   [[nodiscard]] std::shared_ptr<const void> get_erased(std::size_t field,
                                                        std::size_t block,
-                                                       std::size_t elem_size);
+                                                       std::size_t elem_size,
+                                                       std::size_t min_bytes);
   void put_erased(std::size_t field, std::size_t block, std::size_t elem_size,
                   std::shared_ptr<const void> data, std::size_t bytes);
 

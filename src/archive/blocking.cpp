@@ -73,4 +73,34 @@ bool BlockGrid::intersects(std::size_t index, const Region& r) const {
   return true;
 }
 
+std::vector<std::size_t> BlockGrid::touched(const Region& r) const {
+  const std::size_t rank = field_.rank();
+  std::array<std::size_t, kMaxDims> lo{};
+  std::array<std::size_t, kMaxDims> hi{};  // inclusive
+  std::size_t n = 1;
+  for (std::size_t a = 0; a < rank; ++a) {
+    lo[a] = r.origin[a] / block_.extent(a);
+    hi[a] = (r.origin[a] + r.extent[a] - 1) / block_.extent(a);
+    n *= hi[a] - lo[a] + 1;
+  }
+  // Odometer over the per-axis ranges, fastest axis last: row-major, so
+  // the block indices come out ascending.
+  std::vector<std::size_t> out;
+  out.reserve(n);
+  std::array<std::size_t, kMaxDims> c = lo;
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t index = 0;
+    for (std::size_t a = 0; a < rank; ++a) index = index * grid_[a] + c[a];
+    out.push_back(index);
+    for (std::size_t a = rank; a-- > 0;) {
+      if (c[a] < hi[a]) {
+        ++c[a];
+        break;
+      }
+      c[a] = lo[a];
+    }
+  }
+  return out;
+}
+
 }  // namespace sz14::archive

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstring>
 #include <span>
+#include <vector>
 
 #include "common/dims.hpp"
 
@@ -56,6 +57,11 @@ class BlockGrid {
 
   /// Does block `index` intersect the hyperslab?
   [[nodiscard]] bool intersects(std::size_t index, const Region& r) const;
+
+  /// Every block intersecting the hyperslab, ascending — enumerated from
+  /// per-axis block-index ranges, so the cost is O(blocks touched), not
+  /// O(block_count()).  The region must lie inside the field.
+  [[nodiscard]] std::vector<std::size_t> touched(const Region& r) const;
 
  private:
   Dims field_;

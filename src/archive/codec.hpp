@@ -50,6 +50,17 @@ struct CodecOps {
                                           const ExecPolicy& exec);
   std::vector<double> (*decompress64)(std::span<const std::uint8_t> stream,
                                       const ExecPolicy& exec);
+
+  /// Leading-plane decode: fill `out` with the block's first `planes`
+  /// slices along axis 0, bit-identical to that prefix of the full decode
+  /// (out.size() == planes * the block's slice size).  Null for backends
+  /// whose decode cannot stop early; the reader then decodes whole blocks.
+  void (*decompress_prefix32)(std::span<const std::uint8_t> stream,
+                              std::size_t planes, std::span<float> out,
+                              const ExecPolicy& exec);
+  void (*decompress_prefix64)(std::span<const std::uint8_t> stream,
+                              std::size_t planes, std::span<double> out,
+                              const ExecPolicy& exec);
 };
 
 /// All registered codecs, id-ascending.

@@ -12,6 +12,15 @@
 namespace sz14::archive {
 namespace {
 
+/// The codec's leading-plane decoder for T (null when it has none).
+template <typename T>
+auto prefix_decoder(const CodecOps& ops) {
+  if constexpr (std::is_same_v<T, float>)
+    return ops.decompress_prefix32;
+  else
+    return ops.decompress_prefix64;
+}
+
 template <typename T>
 std::vector<T> codec_decompress(const CodecOps& ops,
                                 std::span<const std::uint8_t> payload,
@@ -221,7 +230,8 @@ ThreadPool& ArchiveReader::serving_pool() const {
 
 template <typename T>
 std::vector<T> ArchiveReader::decode_block(
-    const FieldEntry& f, std::size_t block_index, const ExecPolicy& exec,
+    const FieldEntry& f, std::size_t block_index, const Dims& extents,
+    std::size_t planes, const ExecPolicy& exec,
     std::atomic<std::uint64_t>* repairs) const {
   const BlockEntry& b = f.blocks[block_index];
   // Zero-copy fast path: decode straight from the mmap'd payload.  When
@@ -235,6 +245,7 @@ std::vector<T> ArchiveReader::decode_block(
     source_.read_at(b.offset, staged);
     payload = staged;
   }
+  // The CRC always covers the whole payload, also for a prefix decode.
   std::vector<std::uint8_t> repaired;  // keeps a reconstruction alive
   if (crc32(payload) != b.crc) {
     crc_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -261,8 +272,15 @@ std::vector<T> ArchiveReader::decode_block(
     payload = repaired;
   }
   const CodecOps& ops = *codec_by_id(f.codec);  // validated in read_footer
-  std::vector<T> block = codec_decompress<T>(ops, payload, exec);
+  std::vector<T> block;
+  if (planes < extents.extent(0)) {
+    block.resize(planes * extents.stride(0));
+    prefix_decoder<T>(ops)(payload, planes, block, exec);
+  } else {
+    block = codec_decompress<T>(ops, payload, exec);
+  }
   blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
+  values_decoded_.fetch_add(block.size(), std::memory_order_relaxed);
   return block;
 }
 
@@ -300,10 +318,7 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
   const BlockGrid grid(f.dims, f.block_dims);
   const Dims out_dims = region.shape();
   std::vector<T> out(out_dims.count());
-
-  std::vector<std::size_t> touched;
-  for (std::size_t i = 0; i < grid.block_count(); ++i)
-    if (grid.intersects(i, region)) touched.push_back(i);
+  const std::vector<std::size_t> touched = grid.touched(region);
 
   // Mapped block scan: ask the kernel to fault the touched payload range
   // in ahead of the decodes (blocks of one field are laid out in append
@@ -322,23 +337,49 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
   exec.pool = nullptr;  // block tasks are single-threaded
   exec.scratch = &scratch_;
 
-  // Intersection of block cuboid and region, then strided copy.
-  const auto scatter_block = [&](std::size_t i, const std::vector<T>& block) {
-    std::array<std::size_t, kMaxDims> bo{};
-    grid.block_origin(i, bo);
-    const Dims be = grid.block_extents(i);
+  // What one block contributes to this read.  The read needs the block's
+  // planes (slices along axis 0) up to the region's end on axis 0; it
+  // decodes only those when the codec can stop early and the whole block
+  // could not be cached without evicting something (or the cache is off).
+  // Otherwise it decodes the whole block, so a roomy cache fills with
+  // whole blocks exactly as before.
+  const bool can_prefix = prefix_decoder<T>(*codec_by_id(f.codec)) != nullptr;
+  const std::size_t region_end0 = region.origin[0] + region.extent[0];
+  struct Plan {
+    std::size_t index;
+    std::array<std::size_t, kMaxDims> origin;
+    Dims extents;
+    std::size_t need;    // values the read needs (a leading prefix)
+    std::size_t planes;  // planes to decode on a miss
+  };
+  const auto plan_for = [&](std::size_t i) {
+    Plan p{i, {}, grid.block_extents(i), 0, 0};
+    grid.block_origin(i, p.origin);
+    const std::size_t full = p.extents.extent(0);
+    const std::size_t depth = std::min(region_end0 - p.origin[0], full);
+    p.need = depth * p.extents.stride(0);
+    p.planes = can_prefix && depth < full &&
+                       !cache_.has_room(p.extents.count() * sizeof(T))
+                   ? depth
+                   : full;
+    return p;
+  };
+
+  // Intersection of block cuboid and region, then strided copy.  `block`
+  // may be a prefix of the block: the copy reads only the needed planes.
+  const auto scatter_block = [&](const Plan& p, const std::vector<T>& block) {
     std::array<std::size_t, kMaxDims> src_origin{};  // block-local
     std::array<std::size_t, kMaxDims> dst_origin{};  // region-local
     std::array<std::size_t, kMaxDims> ext{};
     for (std::size_t a = 0; a < region.rank; ++a) {
-      const std::size_t lo = std::max(bo[a], region.origin[a]);
-      const std::size_t hi = std::min(bo[a] + be.extent(a),
+      const std::size_t lo = std::max(p.origin[a], region.origin[a]);
+      const std::size_t hi = std::min(p.origin[a] + p.extents.extent(a),
                                       region.origin[a] + region.extent[a]);
-      src_origin[a] = lo - bo[a];
+      src_origin[a] = lo - p.origin[a];
       dst_origin[a] = lo - region.origin[a];
       ext[a] = hi - lo;
     }
-    copy_subcuboid(block.data(), be,
+    copy_subcuboid(block.data(), p.extents,
                    std::span<const std::size_t>(src_origin.data(),
                                                 region.rank),
                    out.data(), out_dims,
@@ -347,10 +388,10 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
                    std::span<const std::size_t>(ext.data(), region.rank));
   };
 
-  const auto try_cached = [&](std::size_t i) -> bool {
-    const auto cached = cache_.get<T>(fi, i);
+  const auto try_cached = [&](const Plan& p) -> bool {
+    const auto cached = cache_.get<T>(fi, p.index, p.need);
     if (!cached) return false;
-    scatter_block(i, *cached);
+    scatter_block(p, *cached);
     return true;
   };
 
@@ -359,62 +400,59 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
   // counters aggregate across all calls).
   std::atomic<std::uint64_t> call_repairs{0};
 
-  // Decode one block (size-validated) and hand it to the cache as an
-  // immutable shared vector; without the cache the plain vector is
-  // scattered and dropped.
-  const auto decode_validated = [&](std::size_t i) {
-    std::vector<T> decoded = decode_block<T>(f, i, exec, &call_repairs);
-    const std::size_t expect = grid.block_extents(i).count();
+  // Decode the planned planes of one block (size-validated) as an
+  // immutable shared vector and offer it to the cache, which keeps it
+  // unless a longer entry for the block is already resident.
+  const auto decode_shared = [&](const Plan& p) {
+    std::vector<T> decoded =
+        decode_block<T>(f, p.index, p.extents, p.planes, exec, &call_repairs);
+    const std::size_t expect = p.planes * p.extents.stride(0);
     if (decoded.size() != expect)
-      throw std::runtime_error("archive: block " + std::to_string(i) +
+      throw std::runtime_error("archive: block " + std::to_string(p.index) +
                                " of field '" + f.name + "' decoded to " +
                                std::to_string(decoded.size()) +
                                " values, expected " + std::to_string(expect));
-    return decoded;
+    auto owned = std::make_shared<const std::vector<T>>(std::move(decoded));
+    cache_.put<T>(fi, p.index, owned);
+    return owned;
   };
 
   const bool coalesce = coalescing();
-  const auto decode_and_scatter = [&](std::size_t i) {
-    if (coalesce) {
-      // Single-flight: the first thread in decodes for everyone racing on
-      // this block; followers block until it publishes and share the
-      // vector.  The leader must publish on EVERY path or followers hang.
-      auto [entry, leader] = flight_.begin(fi, i);
-      if (!leader) {
-        const auto shared = std::static_pointer_cast<const std::vector<T>>(
-            flight_.wait(*entry));
-        scatter_block(i, *shared);
-        return;
-      }
-      // Leadership re-probe: a decode that finished between our cache miss
-      // and begin() already populated the cache — publish that instead of
-      // decoding the block a second time.
-      if (const auto cached = cache_.get<T>(fi, i)) {
-        flight_.publish(fi, i, *entry, cached, nullptr);
-        scatter_block(i, *cached);
-        return;
-      }
-      std::shared_ptr<const std::vector<T>> owned;
-      try {
-        owned = std::make_shared<const std::vector<T>>(decode_validated(i));
-      } catch (...) {
-        flight_.publish(fi, i, *entry, nullptr, std::current_exception());
-        throw;
-      }
-      cache_.put<T>(fi, i, owned);
-      flight_.publish(fi, i, *entry, owned, nullptr);
-      scatter_block(i, *owned);
+  const auto decode_and_scatter = [&](const Plan& p) {
+    if (!coalesce) {
+      scatter_block(p, *decode_shared(p));
       return;
     }
-    std::vector<T> decoded = decode_validated(i);
-    if (cache_.enabled()) {
-      const auto owned =
-          std::make_shared<const std::vector<T>>(std::move(decoded));
-      cache_.put<T>(fi, i, owned);
-      scatter_block(i, *owned);
-    } else {
-      scatter_block(i, decoded);
+    // Single-flight: the first thread in decodes for everyone racing on
+    // this block; followers block until it publishes and share the
+    // vector.  The leader must publish on EVERY path or followers hang.
+    auto [entry, leader] = flight_.begin(fi, p.index);
+    if (!leader) {
+      auto shared = std::static_pointer_cast<const std::vector<T>>(
+          flight_.wait(*entry));
+      // The leader decoded only what ITS read needed; a follower that
+      // needs deeper planes decodes its own prefix.
+      if (shared->size() < p.need) shared = decode_shared(p);
+      scatter_block(p, *shared);
+      return;
     }
+    // Leadership re-probe: a decode that finished between our cache miss
+    // and begin() already populated the cache — publish that instead of
+    // decoding the block a second time.
+    if (const auto cached = cache_.get<T>(fi, p.index, p.need)) {
+      flight_.publish(fi, p.index, *entry, cached, nullptr);
+      scatter_block(p, *cached);
+      return;
+    }
+    std::shared_ptr<const std::vector<T>> owned;
+    try {
+      owned = decode_shared(p);
+    } catch (...) {
+      flight_.publish(fi, p.index, *entry, nullptr, std::current_exception());
+      throw;
+    }
+    flight_.publish(fi, p.index, *entry, owned, nullptr);
+    scatter_block(p, *owned);
   };
 
   // Damage collection: with a report attached, an unrecoverable block is
@@ -425,13 +463,13 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
   std::mutex hole_mutex;
   const std::size_t holes_before =
       damage != nullptr ? damage->holes.size() : 0;
-  const auto decode_or_hole = [&](std::size_t i) {
+  const auto decode_or_hole = [&](const Plan& p) {
     if (damage == nullptr) {
-      decode_and_scatter(i);
+      decode_and_scatter(p);
       return;
     }
     try {
-      decode_and_scatter(i);
+      decode_and_scatter(p);
     } catch (const BlockDamagedError& e) {
       const std::lock_guard<std::mutex> lk(hole_mutex);
       damage->holes.push_back(BlockHole{f.name, e.block(),
@@ -440,8 +478,8 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
     }
   };
   const auto serve_block = [&](std::size_t t) {
-    const std::size_t i = touched[t];
-    if (!try_cached(i)) decode_or_hole(i);
+    const Plan p = plan_for(touched[t]);
+    if (!try_cached(p)) decode_or_hole(p);
   };
 
   const auto finish_damage = [&] {
@@ -456,9 +494,9 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
   // known miss goes straight to a pool decode without re-probing, so the
   // hit/miss counters see exactly one lookup per block served.
   if (touched.size() == 1) {
-    const std::size_t i = touched[0];
-    if (!try_cached(i))
-      serving_pool().run_batch(1, [&](std::size_t) { decode_or_hole(i); });
+    const Plan p = plan_for(touched[0]);
+    if (!try_cached(p))
+      serving_pool().run_batch(1, [&](std::size_t) { decode_or_hole(p); });
     finish_damage();
     return out;
   }

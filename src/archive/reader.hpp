@@ -11,6 +11,11 @@
 // payload, checksums, decodes, and scatters — so block i's I/O overlaps
 // block j's decompression instead of an all-payloads-first barrier.
 //
+// A block a read needs only partly along axis 0 may be decoded only up to
+// the region's last plane in it (see read_region): when the codec has a
+// prefix hook and the whole block would not fit the cache without
+// evicting, or the cache is off.  Cache entries hold what was decoded.
+//
 // `blocks_decoded()` counts every block decode since construction (or the
 // last reset), which is how tests and benches verify that a region read
 // really touched only the intersecting blocks — and, with the cache
@@ -197,6 +202,13 @@ class ArchiveReader {
   /// bounds; std::runtime_error on checksum/decode failure.  Thread-safe:
   /// any number of threads may call concurrently on one reader, with
   /// results bit-identical to sequential calls.
+  ///
+  /// Per touched block the read needs the planes up to the region's end
+  /// on axis 0 inside it.  It decodes just those when the codec has a
+  /// prefix hook and the whole block could not be cached without evicting
+  /// something (or the cache is off); otherwise the whole block.  A cached
+  /// prefix that does not cover the read is a miss, replaced by the
+  /// longer decode.
   [[nodiscard]] std::vector<float> read_region(std::string_view name,
                                                const Region& region) const;
 
@@ -263,9 +275,16 @@ class ArchiveReader {
   }
 
   /// Blocks decoded since construction or reset_counters() (cache hits
-  /// decode nothing and do not count).
+  /// decode nothing and do not count; a prefix decode counts as one).
   [[nodiscard]] std::uint64_t blocks_decoded() const noexcept {
     return blocks_decoded_.load(std::memory_order_relaxed);
+  }
+
+  /// Values those decodes produced: a whole block adds its element count,
+  /// a prefix decode only its leading planes.  In-process only (not part
+  /// of the serving protocol's stats).
+  [[nodiscard]] std::uint64_t values_decoded() const noexcept {
+    return values_decoded_.load(std::memory_order_relaxed);
   }
 
   /// Block payloads that failed their stored CRC-32 at decode time (each
@@ -292,11 +311,12 @@ class ArchiveReader {
     return degraded_reads_.load(std::memory_order_relaxed);
   }
 
-  /// Zero blocks_decoded(), coalesced_reads(), the damage counters and
-  /// the cache hit/miss/eviction counters (cached DATA stays resident —
-  /// only the statistics reset).
+  /// Zero blocks_decoded(), values_decoded(), coalesced_reads(), the
+  /// damage counters and the cache hit/miss/eviction counters (cached DATA
+  /// stays resident — only the statistics reset).
   void reset_counters() noexcept {
     blocks_decoded_.store(0, std::memory_order_relaxed);
+    values_decoded_.store(0, std::memory_order_relaxed);
     crc_failures_.store(0, std::memory_order_relaxed);
     read_repairs_.store(0, std::memory_order_relaxed);
     unrecoverable_blocks_.store(0, std::memory_order_relaxed);
@@ -310,12 +330,16 @@ class ArchiveReader {
   std::vector<T> read_region_impl(std::string_view name, const Region& region,
                                   ReadDamage* damage) const;
 
-  /// pread + CRC + decode of one block (cache not consulted here).  A
-  /// CRC failure attempts parity reconstruction; on success `*repairs`
-  /// (when non-null) is bumped and the exact data is returned, otherwise
-  /// BlockDamagedError is thrown.
+  /// pread + CRC + decode of one block (cache not consulted here) shaped
+  /// `extents`: its leading `planes` along axis 0 through the codec's
+  /// prefix hook, or the whole block when planes covers extent(0).  The
+  /// CRC covers the whole payload either way.  A CRC failure attempts
+  /// parity reconstruction; on success `*repairs` (when non-null) is
+  /// bumped and the exact data is returned, otherwise BlockDamagedError is
+  /// thrown.
   template <typename T>
   std::vector<T> decode_block(const FieldEntry& f, std::size_t block_index,
+                              const Dims& extents, std::size_t planes,
                               const ExecPolicy& exec,
                               std::atomic<std::uint64_t>* repairs) const;
 
@@ -358,6 +382,7 @@ class ArchiveReader {
   mutable SingleFlight flight_;
   std::atomic<bool> coalesce_{false};
   mutable std::atomic<std::uint64_t> blocks_decoded_{0};
+  mutable std::atomic<std::uint64_t> values_decoded_{0};
   mutable std::atomic<std::uint64_t> crc_failures_{0};
   mutable std::atomic<std::uint64_t> read_repairs_{0};
   mutable std::atomic<std::uint64_t> unrecoverable_blocks_{0};

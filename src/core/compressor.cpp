@@ -1,9 +1,12 @@
 #include "core/compressor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "common/bitstream.hpp"
 #include "common/bytebuffer.hpp"
@@ -157,14 +160,18 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
 }
 
 /// Shared decode core.  Exactly one of `fixed_out` (caller-owned buffer,
-/// must already match the element count) and `owned_out` (resized only
-/// AFTER the entropy stage has validated the stream, so a header claiming
-/// absurd extents is rejected before any allocation is attempted) is
-/// non-null.
+/// must already match the decoded element count) and `owned_out` (resized
+/// only AFTER the entropy stage has validated the stream, so a header
+/// claiming absurd extents is rejected before any allocation is attempted)
+/// is non-null.  `planes`, when set, decodes only the leading planes along
+/// axis 0: every prediction reads values that come earlier in index order,
+/// so the SAME walk over the shape with extent(0) = planes reproduces the
+/// first planes * stride(0) values of the full decode bit for bit.
 template <typename T>
 StreamInfo decompress_core(std::span<const std::uint8_t> stream,
                            std::span<T> fixed_out, std::vector<T>* owned_out,
-                           const ExecPolicy& exec) {
+                           const ExecPolicy& exec,
+                           std::optional<std::size_t> planes = std::nullopt) {
   const HotPathMode mode = exec.resolved_mode();
   ByteReader in(stream);
   const StreamHeader h = read_header(in);
@@ -172,7 +179,19 @@ StreamInfo decompress_core(std::span<const std::uint8_t> stream,
     throw std::runtime_error("sz14: stream dtype mismatch (use decompress" +
                              std::string(h.dtype == kDtypeF64 ? "64" : "") +
                              ")");
-  if (!owned_out && fixed_out.size() != h.dims.count())
+  Dims walk_dims = h.dims;
+  if (planes) {
+    if (*planes == 0 || *planes > h.dims.extent(0))
+      throw std::invalid_argument(
+          "sz14: prefix of " + std::to_string(*planes) +
+          " planes outside 1.." + std::to_string(h.dims.extent(0)));
+    std::array<std::size_t, kMaxDims> ext{};
+    std::copy(h.dims.extents().begin(), h.dims.extents().end(), ext.begin());
+    ext[0] = *planes;
+    walk_dims = Dims(std::span<const std::size_t>(ext.data(), h.dims.rank()));
+  }
+  const std::size_t n = walk_dims.count();
+  if (!owned_out && fixed_out.size() != n)
     throw std::invalid_argument("sz14: output buffer size mismatch");
 
   // huffman_decode bounds its symbol count by the actual payload size, and
@@ -180,32 +199,37 @@ StreamInfo decompress_core(std::span<const std::uint8_t> stream,
   // allocation a hostile header can trigger.  The code array is the
   // largest decode-side working buffer; the arena keeps it (and the walk's
   // staging vectors) alive across calls.  The entropy backend is read off
-  // the stream, never off `exec`.
+  // the stream, never off `exec`.  A prefix decode stops Huffman after n
+  // symbols; rANS decodes every code and drops the tail.
   std::vector<std::uint16_t> codes_own;
   std::vector<std::uint16_t>& codes =
       scratch_code_vector_or(exec.scratch, codes_own);
-  if (h.rans_entropy)
+  std::size_t n_codes = 0;
+  if (h.rans_entropy) {
     rans_decode_into(in, codes, h.dims.count());
-  else
-    huffman_decode_into(in, codes, mode);
-  if (codes.size() != h.dims.count())
+    n_codes = codes.size();
+    codes.resize(std::min(n_codes, n));
+  } else {
+    n_codes = huffman_decode_into(in, codes, mode, n);
+  }
+  if (n_codes != h.dims.count())
     throw std::runtime_error("sz14: quantization array size mismatch");
   const auto n_unpred_bytes = static_cast<std::size_t>(in.get_varint());
   const auto unpred_bytes = in.get_bytes(n_unpred_bytes);
 
   std::span<T> out = fixed_out;
   if (owned_out) {
-    owned_out->resize(h.dims.count());
+    owned_out->resize(n);
     out = std::span<T>(*owned_out);
   }
 
-  const LayerPredictor predictor(h.dims, h.layers);
+  const LayerPredictor predictor(walk_dims, h.layers);
   const LinearQuantizer quantizer(h.interval_bits, h.eb_abs, mode);
   const UnpredictableCodecT<T> unpred(h.eb_abs);
   BitReader br(unpred_bytes, mode);
-  detail::pq_decompress_walk<T>(codes, h.dims, predictor, quantizer, unpred,
-                                h.eb_abs, h.decorrelate, mode, out, br,
-                                exec.scratch);
+  detail::pq_decompress_walk<T>(codes, walk_dims, predictor, quantizer,
+                                unpred, h.eb_abs, h.decorrelate, mode, out,
+                                br, exec.scratch);
   return {h.dims, h.eb_abs};
 }
 
@@ -275,6 +299,18 @@ StreamInfo decompress_into(std::span<const std::uint8_t> stream,
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
                            std::span<double> out, const ExecPolicy& exec) {
   return decompress_core<double>(stream, out, nullptr, exec);
+}
+
+StreamInfo decompress_prefix_into(std::span<const std::uint8_t> stream,
+                                  std::size_t planes, std::span<float> out,
+                                  const ExecPolicy& exec) {
+  return decompress_core<float>(stream, out, nullptr, exec, planes);
+}
+
+StreamInfo decompress_prefix_into(std::span<const std::uint8_t> stream,
+                                  std::size_t planes, std::span<double> out,
+                                  const ExecPolicy& exec) {
+  return decompress_core<double>(stream, out, nullptr, exec, planes);
 }
 
 }  // namespace sz14

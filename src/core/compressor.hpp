@@ -142,6 +142,23 @@ StreamInfo decompress_into(std::span<const std::uint8_t> stream,
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
                            std::span<double> out, const ExecPolicy& exec);
 
+/// Decode only the leading `planes` slices along axis 0 (the slowest axis)
+/// into `out`, which must hold planes * (product of the other extents)
+/// values.  Prediction reads only values earlier in index order, so the
+/// result equals that prefix of the full decode bit for bit, at a fraction
+/// of the cost: the same walk runs on the shorter shape, Huffman decoding
+/// stops after the prefix's codes (rANS decodes all and drops the tail).
+/// The whole stream is still parsed and checked (the symbol count must
+/// match the header), so a damaged stream fails as in decompress_into().
+/// Throws std::invalid_argument when planes is 0 or exceeds extent(0), or
+/// when out.size() mismatches.  The returned dims are the stream's.
+StreamInfo decompress_prefix_into(std::span<const std::uint8_t> stream,
+                                  std::size_t planes, std::span<float> out,
+                                  const ExecPolicy& exec = {});
+StreamInfo decompress_prefix_into(std::span<const std::uint8_t> stream,
+                                  std::size_t planes, std::span<double> out,
+                                  const ExecPolicy& exec = {});
+
 /// Intermediate products of the prediction + quantization pass — the shared
 /// kernel behind compress(), the best-layer analysis (Sec. III-B), and the
 /// adaptive interval scheme (Sec. IV-B).

@@ -490,7 +490,7 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
                                  std::span<const std::uint8_t> payload,
                                  std::size_t n_symbols,
                                  std::vector<std::uint16_t>& out,
-                                 HotPathMode mode) {
+                                 HotPathMode mode, std::size_t limit) {
   if (n_symbols == 0) {
     out.clear();
     return;
@@ -504,19 +504,22 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
     throw std::runtime_error("huffman_decode: empty code table");
   if (n_symbols > payload.size() * 8 / min_len)
     throw std::runtime_error("huffman_decode: symbol count exceeds payload");
+  // A prefix decode stops after `limit` symbols; the checks above still
+  // vouch for the whole declared count.
+  const std::size_t n = std::min(n_symbols, limit);
 
   // resize without a preceding clear(): the decode loop writes every
   // element, so a reused vector only pays value-initialization for the
   // grown tail — not a full per-call memset.
-  out.resize(n_symbols);
+  out.resize(n);
   BitReader br(payload, mode);
   if (mode == HotPathMode::kReference) {
-    for (std::size_t i = 0; i < n_symbols; ++i)
+    for (std::size_t i = 0; i < n; ++i)
       out[i] = dec.decode_bitwise(br);
     return;
   }
   // Multi-symbol fast loop: one table entry emits up to kMaxTableSymbols
-  // symbols.  The i + kMaxTableSymbols <= n_symbols guard means at least
+  // symbols.  The i + kMaxTableSymbols <= n guard means at least
   // that many real symbols remain, so the prefix-determined chain in the
   // entry can never cross into the stream's zero padding; all three slots
   // are stored unconditionally (overwritten by later iterations when
@@ -537,7 +540,7 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
   if (payload.size() >= 8) {
     const std::uint8_t* base = payload.data();
     const std::size_t last_start = payload.size() - 8;
-    while (i + HuffmanDecoder::kMaxTableSymbols <= n_symbols) {
+    while (i + HuffmanDecoder::kMaxTableSymbols <= n) {
       const std::uint64_t p0 = br.bit_position();
       const std::size_t byte = static_cast<std::size_t>(p0 >> 3);
       if (byte > last_start) break;
@@ -546,7 +549,7 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
       w = load_bswap64(w) << (p0 & 7);
       unsigned used = 0;
       while (used + table_bits <= 57 &&
-             i + HuffmanDecoder::kMaxTableSymbols <= n_symbols) {
+             i + HuffmanDecoder::kMaxTableSymbols <= n) {
         const std::uint64_t e = table[(w << used) >> (64u - table_bits)];
         const auto adv = static_cast<unsigned>((e >> 4) & 0xFu);
         if (adv == 0) break;  // first code longer than the table window
@@ -558,11 +561,11 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
       }
       br.skip(used);
       if (used + table_bits <= 57 &&
-          i + HuffmanDecoder::kMaxTableSymbols <= n_symbols)
+          i + HuffmanDecoder::kMaxTableSymbols <= n)
         out[i++] = dec.decode_bitwise(br);
     }
   }
-  while (i + HuffmanDecoder::kMaxTableSymbols <= n_symbols) {
+  while (i + HuffmanDecoder::kMaxTableSymbols <= n) {
     const std::uint64_t e = table[br.peek(table_bits)];
     if ((e & 0xFu) == 0) {  // first code longer than the window
       out[i++] = dec.decode_bitwise(br);
@@ -574,7 +577,7 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
     i += static_cast<std::size_t>((e >> 8) & 0x3u) + 1;
     br.skip(static_cast<unsigned>((e >> 4) & 0xFu));
   }
-  for (; i < n_symbols; ++i) out[i] = dec.decode(br);
+  for (; i < n; ++i) out[i] = dec.decode(br);
 }
 
 std::vector<std::uint16_t> huffman_decode_payload(
@@ -585,18 +588,20 @@ std::vector<std::uint16_t> huffman_decode_payload(
   return out;
 }
 
-void huffman_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
-                         HotPathMode mode) {
+std::size_t huffman_decode_into(ByteReader& in,
+                                std::vector<std::uint16_t>& out,
+                                HotPathMode mode, std::size_t limit) {
   const auto lengths = huffman_read_lengths(in);
   const auto n_symbols = static_cast<std::size_t>(in.get_varint());
   const auto n_payload = static_cast<std::size_t>(in.get_varint());
   const auto payload = in.get_bytes(n_payload);
   if (n_symbols == 0) {
     out.clear();
-    return;
+    return 0;
   }
   const HuffmanDecoder dec(lengths);
-  huffman_decode_payload_into(dec, payload, n_symbols, out, mode);
+  huffman_decode_payload_into(dec, payload, n_symbols, out, mode, limit);
+  return n_symbols;
 }
 
 std::vector<std::uint16_t> huffman_decode(ByteReader& in, HotPathMode mode) {

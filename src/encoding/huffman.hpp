@@ -51,10 +51,15 @@ void huffman_encode(std::span<const std::uint16_t> symbols,
 std::vector<std::uint16_t> huffman_decode(ByteReader& in,
                                           HotPathMode mode = HotPathMode::kFast);
 
-/// huffman_decode() into a caller-owned vector (resized to the symbol
-/// count) so batch decoders can reuse its capacity across calls.
-void huffman_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
-                         HotPathMode mode = HotPathMode::kFast);
+/// huffman_decode() into a caller-owned vector so batch decoders can reuse
+/// its capacity across calls.  Decodes the first min(limit, n) of the
+/// stream's n symbols (`out` is resized to that) and returns n, the
+/// declared count; the whole section is still consumed from `in` and
+/// validated against n, so a prefix decode rejects what a full one does.
+std::size_t huffman_decode_into(ByteReader& in,
+                                std::vector<std::uint16_t>& out,
+                                HotPathMode mode = HotPathMode::kFast,
+                                std::size_t limit = SIZE_MAX);
 
 // --- split-phase API -------------------------------------------------------
 //
@@ -107,12 +112,13 @@ std::vector<std::uint16_t> huffman_decode_payload(
     std::size_t n_symbols, HotPathMode mode = HotPathMode::kFast);
 
 /// huffman_decode_payload() into a caller-owned vector (see
-/// huffman_decode_into).
+/// huffman_decode_into), stopping after the first `limit` symbols.
 void huffman_decode_payload_into(const class HuffmanDecoder& dec,
                                  std::span<const std::uint8_t> payload,
                                  std::size_t n_symbols,
                                  std::vector<std::uint16_t>& out,
-                                 HotPathMode mode = HotPathMode::kFast);
+                                 HotPathMode mode = HotPathMode::kFast,
+                                 std::size_t limit = SIZE_MAX);
 
 /// Decoder table reusable across blocks.  decode() consults a primary
 /// kTableBits-wide prefix lookup table (one peek resolves any code of up to
