@@ -29,7 +29,7 @@
 //               full match).  Tags: <field>/<mode> for the sequential
 //               modes (reference|fast|turbo|rans),
 //               <field>/parallel/<mode> (fast|turbo|rans) for the slab
-//               codec, and serving/(nocache|cache|parity|daemon|mmap|
+//               codec, and serving/(nocache|cache|parity|daemon|
 //               sharded) for the archive-serving sections.  Cross-record outputs (the
 //               fast-vs-reference identity check, the speedup record)
 //               appear only when every input they need also matched.
@@ -559,10 +559,9 @@ int main(int argc, char** argv) {
     const bool w_serve_cache = want("serving/cache");
     const bool w_serve_parity = want("serving/parity");
     const bool w_serve_daemon = want("serving/daemon");
-    const bool w_serve_mmap = want("serving/mmap");
     const bool w_serve_sharded = want("serving/sharded");
     if (w_serve_nocache || w_serve_cache || w_serve_parity ||
-        w_serve_daemon || w_serve_mmap || w_serve_sharded) {
+        w_serve_daemon || w_serve_sharded) {
       const data::Field& f3 = fields[2];
       const std::string apath = "/tmp/run_perf_suite_archive.sza";
       const std::size_t bs = smoke ? 8 : 32;
@@ -726,30 +725,20 @@ int main(int argc, char** argv) {
                          reader.blocks_decoded()));
         std::remove(ppath.c_str());
       }
-      // mmap-fetch serving: the zero-copy read path — payload bytes decode
-      // straight out of the page cache instead of being staged through
-      // pread.  Same skewed mix, cache off, so the record isolates the
-      // fetch path; every read is still verified bit-identical.  The
-      // sharded variant additionally splits the archive into ~64 KiB shard
-      // files (smoke: 8 KiB) and serves the same mix through the manifest,
-      // mmap-on — the full tentpole stack in one measured scenario.
-      for (const bool sharded : {false, true}) {
-        if (!(sharded ? w_serve_sharded : w_serve_mmap)) continue;
-        const std::string mpath =
-            sharded ? "/tmp/run_perf_suite_archive.szm" : apath;
-        if (sharded) {
+      // Sharded serving: the archive split into ~64 KiB shard files
+      // (smoke: 8 KiB) serving the same skewed mix through the manifest,
+      // cache off, so the record isolates the shard-resolving fetch path;
+      // every read is still verified bit-identical.
+      if (w_serve_sharded) {
+        const std::string mpath = "/tmp/run_perf_suite_archive.szm";
+        {
           archive::ArchiveWriter w(mpath, threads, {}, 0,
                                    smoke ? (8u << 10) : (64u << 10));
           w.append_field("v", std::span<const float>(f3.values), f3.dims,
                          block, "sz14", 1e-3);
           w.finish();
         }
-        archive::ArchiveReader reader(mpath, threads, {},
-                                      archive::OpenMode::kStrict,
-                                      FetchMode::kMmap);
-        if (reader.fetch_mode() != FetchMode::kMmap)
-          std::fprintf(stderr,
-                       "run_perf_suite: warning: mmap fell back to pread\n");
+        archive::ArchiveReader reader(mpath, threads);
         std::vector<std::vector<float>> want;
         want.reserve(regions.size());
         for (const auto& r : regions)
@@ -761,7 +750,7 @@ int main(int argc, char** argv) {
         Timer t;
         for (std::size_t w = 0; w < threads; ++w) {
           workers.emplace_back([&, w] {
-            Rng wr(sharded ? 9000 + w : 5000 + w);
+            Rng wr(9000 + w);
             for (std::size_t k = 0; k < reads_per_thread; ++k) {
               const std::size_t i =
                   bench::serving_pick(wr, kHot, regions.size());
@@ -770,7 +759,7 @@ int main(int argc, char** argv) {
                   ++diverged;
               } catch (const std::exception& e) {
                 if (diverged.fetch_add(1) == 0)
-                  std::fprintf(stderr, "mmap serving read threw: %s\n",
+                  std::fprintf(stderr, "sharded serving read threw: %s\n",
                                e.what());
               }
             }
@@ -780,8 +769,7 @@ int main(int argc, char** argv) {
         const double seconds = t.seconds();
         if (diverged.load() != 0) {
           std::fprintf(stderr,
-                       "run_perf_suite: %s SERVING DIVERGENCE\n",
-                       sharded ? "SHARDED" : "MMAP");
+                       "run_perf_suite: SHARDED SERVING DIVERGENCE\n");
           exit_code = 1;
         }
 
@@ -789,7 +777,7 @@ int main(int argc, char** argv) {
         json.begin_record();
         json.kv("bench", "perf_suite_archive_serving");
         json.kv("field", "hurricane3d");
-        json.kv("mode", sharded ? "sharded" : "mmap");
+        json.kv("mode", "sharded");
         json.kv("threads", threads);
         json.kv("regions", regions.size());
         json.kv("region_values_total", region_values);
@@ -801,18 +789,15 @@ int main(int argc, char** argv) {
         json.kv("cache_hit_rate", 0.0);
         json.end_record();
         std::fprintf(stderr,
-                     "serving %-7s  %zu threads: %7.1f reads/s, %llu "
-                     "decodes (mmap fetch)\n",
-                     sharded ? "sharded" : "mmap", threads,
-                     static_cast<double>(reads) / seconds,
+                     "serving sharded  %zu threads: %7.1f reads/s, %llu "
+                     "decodes\n",
+                     threads, static_cast<double>(reads) / seconds,
                      static_cast<unsigned long long>(
                          reader.blocks_decoded()));
-        if (sharded) {
-          std::remove(mpath.c_str());
-          for (std::size_t i = 0; i < 4096; ++i) {
-            const std::string sp = archive::shard_file_name(mpath, i);
-            if (std::remove(sp.c_str()) != 0) break;
-          }
+        std::remove(mpath.c_str());
+        for (std::size_t i = 0; i < 4096; ++i) {
+          const std::string sp = archive::shard_file_name(mpath, i);
+          if (std::remove(sp.c_str()) != 0) break;
         }
       }
 

@@ -72,7 +72,7 @@ std::string ArchiveReader::try_open_at(std::uint64_t end) {
     std::uint64_t payload_end = end - kTrailerSize - footer_size;
     if (manifest_) {
       ShardSet candidate;
-      candidate.open_shards(file_.path(), shards_, fetch_);
+      candidate.open_shards(file_.path(), shards_);
       payload_lo = 0;
       payload_end = candidate.logical_size();
       source_ = std::move(candidate);
@@ -126,10 +126,8 @@ constexpr std::array<std::uint8_t, 4> kManifestFooterMagicBytes = {
 }  // namespace
 
 ArchiveReader::ArchiveReader(const std::string& path, std::size_t threads,
-                             ExecPolicy policy, OpenMode mode,
-                             FetchMode fetch)
-    : file_(path), threads_(threads), policy_(policy), mode_(mode),
-      fetch_(fetch) {
+                             ExecPolicy policy, OpenMode mode)
+    : file_(path), threads_(threads), policy_(policy), mode_(mode) {
   salvage_.file_bytes = file_.size();
   if (file_.size() < kSuperblockSize + kTrailerSize)
     throw std::runtime_error("archive: file too small: " + path);
@@ -148,12 +146,7 @@ ArchiveReader::ArchiveReader(const std::string& path, std::size_t threads,
   flags_ = manifest_ ? read_manifest_superblock(sbr) : read_superblock(sbr);
 
   const auto open_source = [&] {
-    if (!manifest_) source_.open_single(path, fetch_);
-    // Block scans are front-to-back sweeps within a field; tell the
-    // kernel so mapped readahead matches the access pattern.
-    if (fetch_ == FetchMode::kMmap)
-      source_.advise(0, source_.logical_size(),
-                     PreadFile::Advice::kSequential);
+    if (!manifest_) source_.open_single(path);
   };
 
   // Fast path: the trailer at EOF (a cleanly finish()ed archive).
@@ -234,17 +227,11 @@ std::vector<T> ArchiveReader::decode_block(
     std::size_t planes, const ExecPolicy& exec,
     std::atomic<std::uint64_t>* repairs) const {
   const BlockEntry& b = f.blocks[block_index];
-  // Zero-copy fast path: decode straight from the mmap'd payload.  When
-  // the bytes are not mapped (pread mode, map fallback, short map, or a
-  // shard-spanning window), staging comes from this thread's arena slot:
-  // steady-state serving preads into the same buffer every time,
-  // allocation-free.
-  std::span<const std::uint8_t> payload = source_.view(b.offset, b.size);
-  if (payload.empty() && b.size > 0) {
-    const std::span<std::uint8_t> staged = scratch_.local().payload(b.size);
-    source_.read_at(b.offset, staged);
-    payload = staged;
-  }
+  // The payload is staged in this thread's arena slot: steady-state
+  // serving preads into the same buffer every time, allocation-free.
+  const std::span<std::uint8_t> staged = scratch_.local().payload(b.size);
+  source_.read_at(b.offset, staged);
+  std::span<const std::uint8_t> payload = staged;
   // The CRC always covers the whole payload, also for a prefix decode.
   std::vector<std::uint8_t> repaired;  // keeps a reconstruction alive
   if (crc32(payload) != b.crc) {
@@ -319,16 +306,6 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
   const Dims out_dims = region.shape();
   std::vector<T> out(out_dims.count());
   const std::vector<std::size_t> touched = grid.touched(region);
-
-  // Mapped block scan: ask the kernel to fault the touched payload range
-  // in ahead of the decodes (blocks of one field are laid out in append
-  // order, so touched.front()..touched.back() bounds the byte range).
-  if (touched.size() > 1) {
-    const BlockEntry& first = f.blocks[touched.front()];
-    const BlockEntry& last = f.blocks[touched.back()];
-    source_.advise(first.offset, last.offset + last.size - first.offset,
-                   PreadFile::Advice::kWillNeed);
-  }
 
   // Per-read execution policy: resolve the mode once on the calling thread
   // (workers never consult process state); scratch is the reader's arena.

@@ -8,8 +8,9 @@
 // read_region()/read_field() are const and data-race-free.
 //
 // Each intersecting block is served as ONE pool task that preads its
-// payload, checksums, decodes, and scatters — so block i's I/O overlaps
-// block j's decompression instead of an all-payloads-first barrier.
+// payload into the worker's arena slot, checksums, decodes, and scatters
+// — so block i's I/O overlaps block j's decompression instead of an
+// all-payloads-first barrier.
 //
 // A block a read needs only partly along axis 0 may be decoded only up to
 // the region's last plane in it (see read_region): when the codec has a
@@ -135,20 +136,14 @@ class ArchiveReader {
   /// allocation-free per block regardless of caller discipline; its slots
   /// belong to the pool's bounded worker set (decodes never run on caller
   /// threads), so serving an unbounded stream of short-lived threads
-  /// cannot grow reader state.
-  /// `fetch` selects the payload I/O path: FetchMode::kPread (default)
-  /// stages every payload through a scratch buffer; FetchMode::kMmap maps
-  /// the payload files and decodes straight from the mapping (zero-copy),
-  /// transparently falling back to pread when mapping is unavailable.
-  /// Decoded values are bit-identical in both modes.
+  /// cannot grow reader state.  Block payloads are pread into that arena.
   ///
   /// `path` may name a single-file `.sza` archive or an `.szm` manifest
   /// (sniffed from the superblock magic); sharded archives resolve
   /// (field, block) → (shard, offset) transparently behind the same API.
   explicit ArchiveReader(const std::string& path, std::size_t threads = 0,
                          ExecPolicy policy = {},
-                         OpenMode mode = OpenMode::kStrict,
-                         FetchMode fetch = FetchMode::kPread);
+                         OpenMode mode = OpenMode::kStrict);
 
   ArchiveReader(const ArchiveReader&) = delete;
   ArchiveReader& operator=(const ArchiveReader&) = delete;
@@ -177,14 +172,9 @@ class ArchiveReader {
     return shards_;
   }
 
-  /// The payload byte source (single-file or shards, pread or mmap) —
-  /// parity repair, fsck and scrub read through this.
+  /// The payload byte source (single-file or shards) — parity repair,
+  /// fsck and scrub read through this.
   [[nodiscard]] const ShardSet& source() const noexcept { return source_; }
-
-  /// FetchMode actually serving payloads (kPread after an mmap fallback).
-  [[nodiscard]] FetchMode fetch_mode() const noexcept {
-    return source_.fetch_mode();
-  }
 
   /// O(1) name lookup (index built at open).  Throws std::invalid_argument
   /// when no field has this name.
@@ -353,11 +343,10 @@ class ArchiveReader {
   [[nodiscard]] std::string try_open_at(std::uint64_t end);
 
   PreadFile file_;  // the container/manifest file (index reads, pread)
-  ShardSet source_;  // payload reads (single or sharded, per fetch_)
+  ShardSet source_;  // payload reads (single or sharded)
   std::size_t threads_;
   ExecPolicy policy_;
   OpenMode mode_ = OpenMode::kStrict;
-  FetchMode fetch_ = FetchMode::kPread;
   bool manifest_ = false;   // path is an .szm manifest
   std::vector<ShardEntry> shards_;  // manifest shard table in use
   std::uint8_t flags_ = 0;  // superblock flags (kFlagParity gates parity)

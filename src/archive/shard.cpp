@@ -104,12 +104,11 @@ std::vector<ShardEntry> read_shard_table(ByteReader& in) {
   return shards;
 }
 
-void ShardSet::open_single(const std::string& path, FetchMode mode) {
+void ShardSet::open_single(const std::string& path) {
   parts_.clear();
   sharded_ = false;
-  mode_ = mode;
   Part p;
-  p.file = std::make_unique<PreadFile>(path, mode);
+  p.file = std::make_unique<PreadFile>(path);
   p.info.path = path;
   p.info.logical_start = 0;
   p.info.header = 0;  // logical offsets ARE absolute file offsets
@@ -120,8 +119,7 @@ void ShardSet::open_single(const std::string& path, FetchMode mode) {
 }
 
 void ShardSet::open_shards(const std::string& manifest_path,
-                           const std::vector<ShardEntry>& shards,
-                           FetchMode mode) {
+                           const std::vector<ShardEntry>& shards) {
   std::vector<Part> parts;
   parts.reserve(shards.size());
   std::uint64_t logical = 0;
@@ -131,7 +129,7 @@ void ShardSet::open_shards(const std::string& manifest_path,
     p.info.path =
         (std::filesystem::path(manifest_path).parent_path() / s.file)
             .string();
-    p.file = std::make_unique<PreadFile>(p.info.path, mode);
+    p.file = std::make_unique<PreadFile>(p.info.path);
     if (p.file->size() < kShardHeaderSize + s.size)
       throw std::runtime_error(
           "archive: shard " + p.info.path + " holds " +
@@ -152,15 +150,6 @@ void ShardSet::open_shards(const std::string& manifest_path,
   parts_ = std::move(parts);
   logical_size_ = logical;
   sharded_ = true;
-  mode_ = mode;
-}
-
-FetchMode ShardSet::fetch_mode() const noexcept {
-  // A zero-shard set has no parts to map; report the requested mode so an
-  // empty sharded archive opened with kMmap is not mistaken for a fallback.
-  for (const auto& p : parts_)
-    if (p.file->fetch_mode() != FetchMode::kMmap) return FetchMode::kPread;
-  return parts_.empty() ? mode_ : FetchMode::kMmap;
 }
 
 const ShardSet::Part& ShardSet::part_at(std::uint64_t offset) const {
@@ -191,31 +180,6 @@ void ShardSet::read_at(std::uint64_t offset,
     p.file->read_at(p.info.header + local, out.subspan(done, take));
     pos += take;
     done += take;
-  }
-}
-
-std::span<const std::uint8_t> ShardSet::view(
-    std::uint64_t offset, std::uint64_t size) const noexcept {
-  if (size == 0 || offset > logical_size_ || size > logical_size_ - offset ||
-      parts_.empty())
-    return {};
-  const Part& p = part_at(offset);
-  const std::uint64_t local = offset - p.info.logical_start;
-  // A window that straddles two parts has no contiguous backing: stage it.
-  if (local >= p.info.size || size > p.info.size - local) return {};
-  return p.file->view(p.info.header + local, size);
-}
-
-void ShardSet::advise(std::uint64_t offset, std::uint64_t size,
-                      PreadFile::Advice a) const noexcept {
-  if (size == 0 || offset >= logical_size_) return;
-  if (size > logical_size_ - offset) size = logical_size_ - offset;
-  for (const auto& p : parts_) {
-    const std::uint64_t lo = std::max(offset, p.info.logical_start);
-    const std::uint64_t hi =
-        std::min(offset + size, p.info.logical_start + p.info.size);
-    if (lo >= hi) continue;
-    p.file->advise(p.info.header + (lo - p.info.logical_start), hi - lo, a);
   }
 }
 

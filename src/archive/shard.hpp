@@ -31,9 +31,8 @@
 // ShardSet is the one payload-access abstraction the reader, parity
 // read-repair, fsck and scrub all share: it hides whether the archive is
 // a single `.sza` (a degenerate one-part set whose logical offsets ARE
-// absolute file offsets) or a manifest + N shards, and whether each part
-// is pread- or mmap-backed (FetchMode) — view() hands out zero-copy spans
-// when the bytes are mapped, read_at() stages a copy when they are not.
+// absolute file offsets) or a manifest + N shards.  Every part is a
+// PreadFile; read_at() copies payload bytes into the caller's buffer.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +107,7 @@ class ShardSet {
 
   /// Degenerate single-file archive: logical offsets are absolute file
   /// offsets (the `.sza` block index already stores absolute offsets).
-  void open_single(const std::string& path, FetchMode mode);
+  void open_single(const std::string& path);
 
   /// Manifest mode: opens every shard named by `shards` relative to
   /// `manifest_path`'s directory, validating each header and that the
@@ -117,7 +116,7 @@ class ShardSet {
   /// than the checkpoint says — the caller treats that as an invalid
   /// checkpoint and salvages an earlier one.
   void open_shards(const std::string& manifest_path,
-                   const std::vector<ShardEntry>& shards, FetchMode mode);
+                   const std::vector<ShardEntry>& shards);
 
   [[nodiscard]] bool opened() const noexcept { return !parts_.empty(); }
   [[nodiscard]] bool sharded() const noexcept { return sharded_; }
@@ -127,24 +126,10 @@ class ShardSet {
     return logical_size_;
   }
 
-  /// The FetchMode actually in effect (kPread when an mmap request fell
-  /// back; kMmap when every part is mapped).
-  [[nodiscard]] FetchMode fetch_mode() const noexcept;
-
   /// Fill `out` from logical offset `offset`, crossing part boundaries
   /// if needed.  Throws std::runtime_error past logical_size() or on I/O
   /// failure, naming the shard file and offset.
   void read_at(std::uint64_t offset, std::span<std::uint8_t> out) const;
-
-  /// Zero-copy window when [offset, offset+size) is fully inside one
-  /// mmap-backed part; empty span otherwise (caller stages via read_at).
-  [[nodiscard]] std::span<const std::uint8_t> view(
-      std::uint64_t offset, std::uint64_t size) const noexcept;
-
-  /// Readahead hint for a coming block scan over the logical range
-  /// (forwarded per-part; no-op for unmapped parts).
-  void advise(std::uint64_t offset, std::uint64_t size,
-              PreadFile::Advice a) const noexcept;
 
   /// Where logical offset `offset` lives on disk — for heal rewrites and
   /// error attribution.  Throws std::runtime_error past logical_size().
@@ -183,7 +168,6 @@ class ShardSet {
   std::vector<Part> parts_;
   std::uint64_t logical_size_ = 0;
   bool sharded_ = false;
-  FetchMode mode_ = FetchMode::kPread;  ///< requested mode (for empty sets)
 };
 
 }  // namespace sz14::archive

@@ -12,9 +12,8 @@
 // process: no layer below the public API reads process-global mutable
 // state to decide how to execute.
 //
-// `mode` left unset falls back to the process default (common/hotpath.hpp,
-// a test-ergonomics shim) — resolved ONCE at the API boundary by
-// resolved_mode(), never re-read on worker threads or inside kernels.
+// `mode` left unset means kFast — resolved ONCE at the API boundary by
+// resolved_mode(), so workers and kernels only ever see a concrete mode.
 #pragma once
 
 #include <cstddef>
@@ -146,9 +145,8 @@ enum class EntropyBackend : std::uint8_t { kHuffman = 0, kRans = 1 };
 /// Execution strategy for one codec call.  Value type: copy freely; the
 /// pointers are non-owning borrows that must outlive the call.
 struct ExecPolicy {
-  /// Hot-path implementation (kFast/kReference/kTurbo).  Unset inherits
-  /// the process default (hot_path_mode()), resolved once at the API
-  /// boundary — set it explicitly for mixed-mode concurrency.
+  /// Hot-path implementation (kFast/kReference/kTurbo).  Unset means
+  /// kFast, resolved once at the API boundary.
   std::optional<HotPathMode> mode;
   /// Pool for the threaded entry points (parallel codec, archive writer).
   /// Null: the callee builds a private pool of `threads` workers.
@@ -162,7 +160,7 @@ struct ExecPolicy {
   EntropyBackend entropy = EntropyBackend::kHuffman;
 
   [[nodiscard]] HotPathMode resolved_mode() const noexcept {
-    return mode ? *mode : hot_path_mode();
+    return mode.value_or(HotPathMode::kFast);
   }
 
   [[nodiscard]] static ExecPolicy with_mode(HotPathMode m) {

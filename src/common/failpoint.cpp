@@ -16,8 +16,6 @@ namespace {
 constexpr std::string_view kKnownSites[] = {
     "archive.scrub.rewrite",
     "archive.writer.write",
-    "pread_file.mmap.fault",
-    "pread_file.mmap.map",
     "pread_file.read",
     "serve.server.drop_request",
     "serve.transport.connect",

@@ -16,13 +16,8 @@
 // The mode is PER-CALL state: it travels on ExecPolicy
 // (common/exec_policy.hpp) and is passed as a plain argument into every
 // layer that branches on it — kernels, Huffman coder, bit I/O, quantizer.
-// Concurrent calls with different modes are correct by construction.
-//
-// set_hot_path_mode()/HotPathScope below are a thin process-DEFAULT shim
-// kept for test ergonomics: they set the mode used by calls whose
-// ExecPolicy leaves `mode` unset, consulted exactly once per call at the
-// public API boundary (ExecPolicy::resolved_mode()) — never inside the
-// codec layers.
+// Concurrent calls with different modes are correct by construction; a
+// call that leaves the mode unset runs kFast.
 #pragma once
 
 namespace sz14 {
@@ -32,28 +27,6 @@ enum class HotPathMode {
   kReference,  // generic CoordWalker walk + bit-by-bit Huffman decode
   kTurbo,      // kFast kernels with reciprocal-multiply quantization:
                // bound-conformant but not bit-identical to the seed stream
-};
-
-/// Set the process-default mode, used only by calls whose ExecPolicy does
-/// not set one (testing/benchmark ergonomics).
-void set_hot_path_mode(HotPathMode mode) noexcept;
-
-/// The current process-default mode (kFast unless overridden).
-[[nodiscard]] HotPathMode hot_path_mode() noexcept;
-
-/// RAII scope guard for tests: forces a process-default mode, restores the
-/// previous one.  Per-call ExecPolicy.mode always wins over this default.
-class HotPathScope {
- public:
-  explicit HotPathScope(HotPathMode mode) : prev_(hot_path_mode()) {
-    set_hot_path_mode(mode);
-  }
-  ~HotPathScope() { set_hot_path_mode(prev_); }
-  HotPathScope(const HotPathScope&) = delete;
-  HotPathScope& operator=(const HotPathScope&) = delete;
-
- private:
-  HotPathMode prev_;
 };
 
 }  // namespace sz14

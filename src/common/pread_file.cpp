@@ -11,7 +11,6 @@
 #include <ios>
 #else
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -51,31 +50,12 @@ void maybe_inject_read_fault(const std::string& path, std::uint64_t offset) {
   }
 }
 
-/// Failpoint site "pread_file.mmap.fault": the SIGBUS surrogate.  A real
-/// SIGBUS (file truncated under a live map) cannot be recovered portably,
-/// so readers must never touch pages the map is not known to cover; this
-/// site lets tests force view() to refuse a window at runtime and prove
-/// every caller degrades to the pread path instead of crashing.
-bool inject_map_fault() {
-  const auto f = fail::check("pread_file.mmap.fault");
-  return f.has_value();
-}
-
 }  // namespace
-
-std::span<const std::uint8_t> PreadFile::view(
-    std::uint64_t offset, std::uint64_t size) const noexcept {
-  if (map_ == nullptr || size == 0) return {};
-  if (offset > map_size_ || size > map_size_ - offset) return {};
-  if (inject_map_fault()) return {};
-  return {map_ + offset, static_cast<std::size_t>(size)};
-}
 
 #if defined(_WIN32)
 
-PreadFile::PreadFile(const std::string& path, FetchMode /*mode*/)
+PreadFile::PreadFile(const std::string& path)
     : path_(path), in_(path, std::ios::binary | std::ios::ate) {
-  // No mmap on the portable fallback: kMmap silently degrades to kPread.
   if (!in_) throw std::runtime_error("cannot open: " + path);
   size_ = static_cast<std::uint64_t>(in_.tellg());
 }
@@ -96,11 +76,9 @@ void PreadFile::read_at(std::uint64_t offset,
                              std::to_string(offset));
 }
 
-void PreadFile::advise(std::uint64_t, std::uint64_t, Advice) const {}
-
 #else
 
-PreadFile::PreadFile(const std::string& path, FetchMode mode) : path_(path) {
+PreadFile::PreadFile(const std::string& path) : path_(path) {
   fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd_ < 0)
     throw std::runtime_error("cannot open: " + path + " (" +
@@ -114,52 +92,15 @@ PreadFile::PreadFile(const std::string& path, FetchMode mode) : path_(path) {
                              std::strerror(err) + ")");
   }
   size_ = static_cast<std::uint64_t>(st.st_size);
-
-  if (mode == FetchMode::kMmap && size_ > 0) {
-    // Failpoint site "pread_file.mmap.map": `error` simulates mmap(2)
-    // failure (ENOMEM, exhausted address space) and must leave the file
-    // fully usable in pread mode; `short:N:0:ARG` maps the file but
-    // exposes only the first ARG bytes, the short-map surrogate for a
-    // file that grew after mapping.
-    std::uint64_t visible = size_;
-    bool simulate_failure = false;
-    if (const auto f = fail::check("pread_file.mmap.map")) {
-      if (f->kind == fail::Kind::kShort) {
-        const auto arg = static_cast<std::uint64_t>(f->arg > 0 ? f->arg : 0);
-        visible = arg < size_ ? arg : size_;
-      } else {
-        simulate_failure = true;
-      }
-    }
-    if (!simulate_failure) {
-      void* m = ::mmap(nullptr, static_cast<std::size_t>(size_), PROT_READ,
-                       MAP_PRIVATE, fd_, 0);
-      if (m != MAP_FAILED) {
-        map_ = static_cast<const std::uint8_t*>(m);
-        map_size_ = visible;
-      }
-      // MAP_FAILED: fall back to pread silently — kMmap is best-effort.
-    }
-  }
 }
 
 PreadFile::~PreadFile() {
-  if (map_ != nullptr)
-    ::munmap(const_cast<std::uint8_t*>(map_),
-             static_cast<std::size_t>(size_));
   if (fd_ >= 0) ::close(fd_);
 }
 
 void PreadFile::read_at(std::uint64_t offset,
                         std::span<std::uint8_t> out) const {
   maybe_inject_read_fault(path_, offset);
-  // Mapped fast path: a memcpy out of the page cache.  Falls through to
-  // pread when the window is not fully covered (short map / map fault
-  // surrogate), which re-checks against the real file below.
-  if (const auto v = view(offset, out.size()); !v.empty()) {
-    std::memcpy(out.data(), v.data(), v.size());
-    return;
-  }
   std::size_t done = 0;
   while (done < out.size()) {
     const ssize_t n =
@@ -176,18 +117,6 @@ void PreadFile::read_at(std::uint64_t offset,
                                " at offset " + std::to_string(offset + done));
     done += static_cast<std::size_t>(n);
   }
-}
-
-void PreadFile::advise(std::uint64_t offset, std::uint64_t size,
-                       Advice a) const {
-  if (map_ == nullptr || size == 0 || offset >= map_size_) return;
-  if (size > map_size_ - offset) size = map_size_ - offset;
-  // Round down to the page boundary madvise(2) requires.
-  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-  const std::uint64_t head = offset % page;
-  void* addr = const_cast<std::uint8_t*>(map_ + (offset - head));
-  ::madvise(addr, static_cast<std::size_t>(size + head),
-            a == Advice::kWillNeed ? MADV_WILLNEED : MADV_SEQUENTIAL);
 }
 
 #endif

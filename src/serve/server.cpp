@@ -55,8 +55,7 @@ Server::Server(const std::string& archive_path, ServerConfig config)
                 return p;
               }(),
               config_.degraded ? archive::OpenMode::kDegraded
-                               : archive::OpenMode::kStrict,
-              config_.fetch) {
+                               : archive::OpenMode::kStrict) {
   reader_.set_cache_capacity(config_.cache_bytes);
   reader_.set_coalescing(config_.coalescing);
 }

@@ -57,11 +57,6 @@ struct ServerConfig {
   /// zero-filled with the response's degraded flag + hole list set (and
   /// read-repairable blocks are still repaired transparently).
   bool degraded = false;
-  /// How the reader fetches payload bytes: kMmap decodes straight out of
-  /// the page cache (zero-copy, with readahead advice) and silently falls
-  /// back to pread when mapping is unavailable; kPread is the classic
-  /// staged-read path.  Reader::fetch_mode() reports what actually took.
-  FetchMode fetch = FetchMode::kPread;
   ExecPolicy policy;              ///< decode hot-path mode etc.
 };
 

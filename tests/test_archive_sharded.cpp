@@ -1,16 +1,12 @@
-// Sharded-archive + mmap fetch-mode suite: the PR's two tentpole halves,
-// exercised together and against each other.
+// Sharded-archive suite: a manifest + shard files against the single-file
+// container.
 //
 //   * A manifest (.szm) + N shard files must round-trip every field
-//     bit-identical to the single-file (.sza) container, through BOTH
-//     fetch modes (pread and mmap), for f32 and f64, with and without
-//     parity.
-//   * FetchMode::kMmap is a hint, not a contract: the mapping failpoints
-//     ("pread_file.mmap.map", "pread_file.mmap.fault") force fallback at
-//     open and per-read, and decoded output must not change either way.
+//     bit-identical to the single-file (.sza) container, for f32 and f64,
+//     with and without parity.
 //   * Degenerate shapes — zero-field archive, single-block field, a shard
 //     boundary landing exactly on a block boundary — open, fsck, scrub
-//     and extract cleanly in both modes.
+//     and extract cleanly in both layouts.
 //   * Crash discipline carries over per shard file: a writer killed
 //     mid-shard leaves a manifest that salvages to the previous
 //     checkpoint, and fsck --repair truncates the manifest AND the torn
@@ -97,10 +93,10 @@ TEST(Sharded, ShardHeaderRejectsWrongIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// Round-trip identity across layout (single vs sharded) and fetch mode.
+// Round-trip identity across layout (single vs sharded).
 // ---------------------------------------------------------------------------
 
-TEST(Sharded, RoundTripsBitIdenticalToSingleFileAcrossFetchModes) {
+TEST(Sharded, RoundTripsBitIdenticalToSingleFile) {
   const std::string single = tmp_path("identity.sza");
   const std::string manifest = tmp_path("identity.szm");
   const Dims dims{48, 40};
@@ -125,20 +121,17 @@ TEST(Sharded, RoundTripsBitIdenticalToSingleFileAcrossFetchModes) {
   const auto ref64 = base.read_field64("b64");
 
   for (const std::string& path : {single, manifest}) {
-    for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-      ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
-      EXPECT_EQ(r.sharded(), path == manifest);
-      EXPECT_EQ(r.fetch_mode(), mode);  // POSIX CI: the mapping must take
-      EXPECT_EQ(r.read_field("a32"), ref32);
-      EXPECT_EQ(r.read_field64("b64"), ref64);
-    }
+    ArchiveReader r(path, 1);
+    EXPECT_EQ(r.sharded(), path == manifest);
+    EXPECT_EQ(r.read_field("a32"), ref32);
+    EXPECT_EQ(r.read_field64("b64"), ref64);
   }
 
   remove_archive_files(single);
   remove_archive_files(manifest);
 }
 
-TEST(Sharded, RegionReadsMatchAcrossLayoutAndFetchMode) {
+TEST(Sharded, RegionReadsMatchAcrossLayout) {
   const std::string single = tmp_path("region.sza");
   const std::string manifest = tmp_path("region.szm");
   const Dims dims{64, 64};
@@ -157,101 +150,21 @@ TEST(Sharded, RegionReadsMatchAcrossLayoutAndFetchMode) {
   reg.extent = {33, 17};
   ArchiveReader base(single, 1);
   const auto ref = base.read_region("f", reg);
-  for (const std::string& path : {single, manifest})
-    for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-      ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
-      EXPECT_EQ(r.read_region("f", reg), ref);
-    }
+  for (const std::string& path : {single, manifest}) {
+    ArchiveReader r(path, 1);
+    EXPECT_EQ(r.read_region("f", reg), ref);
+  }
 
   remove_archive_files(single);
   remove_archive_files(manifest);
 }
 
 // ---------------------------------------------------------------------------
-// mmap is a hint: every failure path must fall back to pread, silently and
-// bit-identically.
-// ---------------------------------------------------------------------------
-
-TEST(Sharded, MmapMapFailureFallsBackToPreadSilently) {
-  DisarmAll guard;
-  const std::string path = tmp_path("mapfail.sza");
-  const Dims dims{32, 32};
-  const auto vals = field_values(dims.count(), 0.9f);
-  {
-    ArchiveWriter w(path, 1);
-    w.append_field("f", vals, dims, Dims{16, 16}, "sz14", 1e-3);
-    w.finish();
-  }
-  ArchiveReader pristine(path, 1);
-  const auto ref = pristine.read_field("f");
-
-  // Every mmap() attempt fails at open: the reader must come up in pread
-  // mode and decode identically.
-  fail::arm("pread_file.mmap.map", {fail::Kind::kError, 0, 1000, 0});
-  ArchiveReader r(path, 1, {}, OpenMode::kStrict, FetchMode::kMmap);
-  fail::disarm_all();
-  EXPECT_EQ(r.fetch_mode(), FetchMode::kPread);
-  EXPECT_EQ(r.read_field("f"), ref);
-  std::remove(path.c_str());
-}
-
-TEST(Sharded, ShortMapSurrogateStagesTailReadsThroughPread) {
-  DisarmAll guard;
-  const std::string path = tmp_path("shortmap.sza");
-  const Dims dims{32, 32};
-  const auto vals = field_values(dims.count(), 1.7f);
-  {
-    ArchiveWriter w(path, 1);
-    w.append_field("f", vals, dims, Dims{16, 16}, "sz14", 1e-3);
-    w.finish();
-  }
-  ArchiveReader pristine(path, 1);
-  const auto ref = pristine.read_field("f");
-
-  // Map only the first 64 bytes (the SIGBUS-free stand-in for a mapping
-  // the kernel later shrinks): every payload view beyond it comes back
-  // empty and the decode stages through pread instead.
-  fail::arm("pread_file.mmap.map", {fail::Kind::kShort, 0, 1000, 64});
-  ArchiveReader r(path, 1, {}, OpenMode::kStrict, FetchMode::kMmap);
-  fail::disarm_all();
-  EXPECT_EQ(r.fetch_mode(), FetchMode::kMmap);  // mapped, just short
-  EXPECT_EQ(r.read_field("f"), ref);
-  std::remove(path.c_str());
-}
-
-TEST(Sharded, PerViewFaultFallsBackToStagedReads) {
-  DisarmAll guard;
-  const std::string path = tmp_path("viewfault.szm");
-  const Dims dims{48, 48};
-  const auto vals = field_values(dims.count(), 2.8f);
-  {
-    ArchiveWriter w(path, 1, {}, 0, 4096);
-    w.append_field("f", vals, dims, Dims{16, 16}, "sz14", 1e-3);
-    w.finish();
-  }
-  ArchiveReader pristine(path, 1);
-  const auto ref = pristine.read_field("f");
-
-  ArchiveReader r(path, 1, {}, OpenMode::kStrict, FetchMode::kMmap);
-  ASSERT_EQ(r.fetch_mode(), FetchMode::kMmap);
-  // Every view() refuses for a while mid-life — decode must transparently
-  // stage those blocks and still match.
-  fail::arm("pread_file.mmap.fault", {fail::Kind::kError, 0, 1000, 0});
-  const auto out = r.read_field("f");
-  fail::disarm_all();
-  EXPECT_EQ(out, ref);
-  remove_archive_files(path);
-}
-
-// ---------------------------------------------------------------------------
-// Degenerate shapes, both layouts, both fetch modes.
+// Degenerate shapes, both layouts.
 // ---------------------------------------------------------------------------
 
 void expect_clean_everywhere(const std::string& path) {
-  for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-    ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
-    EXPECT_FALSE(r.salvage_info().fallback);
-  }
+  EXPECT_FALSE(ArchiveReader(path, 1).salvage_info().fallback);
   const FsckReport fr = fsck_scan(path);
   EXPECT_TRUE(fr.clean()) << format_fsck_report(fr);
   const ScrubReport sr = scrub_archive(path, false, 1);
@@ -266,8 +179,8 @@ TEST(Sharded, ZeroFieldArchiveOpensFscksAndScrubsBothLayouts) {
       ArchiveWriter w(path, 1, {}, 0, sharded ? 4096 : 0);
       w.finish();
     }
-    for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-      ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
+    {
+      ArchiveReader r(path, 1);
       EXPECT_EQ(r.fields().size(), 0u);
       EXPECT_EQ(r.sharded(), sharded);
     }
@@ -276,9 +189,10 @@ TEST(Sharded, ZeroFieldArchiveOpensFscksAndScrubsBothLayouts) {
   }
 }
 
-TEST(Sharded, SingleBlockFieldRoundTripsBothLayoutsAndModes) {
+TEST(Sharded, SingleBlockFieldRoundTripsBothLayouts) {
   const Dims dims{8, 8};
   const auto vals = field_values(dims.count(), 0.1f);
+  std::vector<float> single_ref;  // the single-file layout's decode
   for (const bool sharded : {false, true}) {
     const std::string path =
         tmp_path(sharded ? "oneblock.szm" : "oneblock.sza");
@@ -289,11 +203,9 @@ TEST(Sharded, SingleBlockFieldRoundTripsBothLayoutsAndModes) {
     }
     ArchiveReader base(path, 1);
     ASSERT_EQ(base.fields().front().blocks.size(), 1u);
-    const auto ref = base.read_field("f");
-    for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-      ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
-      EXPECT_EQ(r.read_field("f"), ref);
-    }
+    const auto out = base.read_field("f");
+    if (!sharded) single_ref = out;
+    EXPECT_EQ(out, single_ref);
     expect_clean_everywhere(path);
     remove_archive_files(path);
   }
@@ -314,6 +226,7 @@ TEST(Sharded, ShardBoundaryExactlyOnBlockBoundary) {
     w.finish();
     first_payload = w.fields().front().blocks.front().size;
   }
+  const auto ref = ArchiveReader(probe, 1).read_field("f");
   std::remove(probe.c_str());
   ASSERT_GT(first_payload, 0u);
 
@@ -325,12 +238,7 @@ TEST(Sharded, ShardBoundaryExactlyOnBlockBoundary) {
     ASSERT_EQ(w.shards().size(), 2u);
     EXPECT_EQ(w.shards()[0].size, first_payload);
   }
-  ArchiveReader base(path, 1);
-  const auto ref = base.read_field("f");
-  for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-    ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
-    EXPECT_EQ(r.read_field("f"), ref);
-  }
+  EXPECT_EQ(ArchiveReader(path, 1).read_field("f"), ref);
   expect_clean_everywhere(path);
   remove_archive_files(path);
 }
@@ -338,9 +246,15 @@ TEST(Sharded, ShardBoundaryExactlyOnBlockBoundary) {
 TEST(Sharded, OversizedPayloadGetsItsOwnShard) {
   // A payload larger than shard_size must not be split: it lands alone in
   // its own (oversized) shard.
+  const std::string single = tmp_path("oversize.sza");
   const std::string path = tmp_path("oversize.szm");
   const Dims dims{64, 64};
   const auto vals = field_values(dims.count(), 0.6f);
+  {
+    ArchiveWriter w(single, 1);
+    w.append_field("f", vals, dims, Dims{32, 32}, "sz14", 1e-3);
+    w.finish();
+  }
   {
     ArchiveWriter w(path, 1, {}, 0, /*shard_size=*/16);
     w.append_field("f", vals, dims, Dims{32, 32}, "sz14", 1e-3);
@@ -348,10 +262,10 @@ TEST(Sharded, OversizedPayloadGetsItsOwnShard) {
     // One shard per block payload: none could share a 16-byte budget.
     EXPECT_EQ(w.shards().size(), w.fields().front().blocks.size());
   }
-  ArchiveReader r(path, 1, {}, OpenMode::kStrict, FetchMode::kMmap);
-  ArchiveReader base(path, 1);
-  EXPECT_EQ(r.read_field("f"), base.read_field("f"));
+  EXPECT_EQ(ArchiveReader(path, 1).read_field("f"),
+            ArchiveReader(single, 1).read_field("f"));
   expect_clean_everywhere(path);
+  remove_archive_files(single);
   remove_archive_files(path);
 }
 
@@ -416,8 +330,8 @@ TEST(Sharded, WriterKilledMidShardSalvagesAndFsckRepairsAllFiles) {
     w.append_field("f1", f1, dims, block, "sz14", 1e-3);
     w.finish();
   }
-  for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-    ArchiveReader repaired(path, 1, {}, OpenMode::kStrict, mode);
+  {
+    ArchiveReader repaired(path, 1);
     ArchiveReader pristine(pristine_path, 1);
     EXPECT_FALSE(repaired.salvage_info().fallback);
     EXPECT_EQ(repaired.read_field("f0"), pristine.read_field("f0"));
@@ -525,9 +439,9 @@ TEST(Sharded, BitFlipInShardIsReadRepairedAndScrubHealsOnDisk) {
     f.write(&byte, 1);
   }
 
-  // Read-repair: both fetch modes reconstruct through parity in memory.
-  for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-    ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
+  // Read-repair: the reader reconstructs through parity in memory.
+  {
+    ArchiveReader r(path, 1);
     EXPECT_EQ(r.read_field("f"), ref);
     EXPECT_GE(r.read_repairs(), 1u);
   }
@@ -588,22 +502,6 @@ TEST(Sharded, ShardSetPastEndReadNamesLogicalOffset) {
         << e.what();
   }
   remove_archive_files(path);
-}
-
-// ---------------------------------------------------------------------------
-// Failpoint registry: the new mmap sites are known (armable without the
-// unknown-site warning).
-// ---------------------------------------------------------------------------
-
-TEST(Sharded, MmapFailpointSitesAreRegistered) {
-  const auto sites = fail::known_sites();
-  const auto has = [&](std::string_view s) {
-    for (const auto& k : sites)
-      if (k == s) return true;
-    return false;
-  };
-  EXPECT_TRUE(has("pread_file.mmap.map"));
-  EXPECT_TRUE(has("pread_file.mmap.fault"));
 }
 
 }  // namespace

@@ -47,9 +47,9 @@ std::vector<T> roundtrip(std::span<const T> data, const Dims& dims,
                          const Options& opts) {
   const auto stream = compress(data, dims, opts);
   if constexpr (sizeof(T) == 4) {
-    return decompress(stream).data;
+    return decompress(stream, opts.exec).data;
   } else {
-    return decompress64(stream).data;
+    return decompress64(stream, opts.exec).data;
   }
 }
 
@@ -60,7 +60,7 @@ void roundtrip_conformance(std::vector<T> values, const Dims& dims, double eb,
   opts.eb_abs = eb;
   for (const HotPathMode mode :
        {HotPathMode::kTurbo, HotPathMode::kFast, HotPathMode::kReference}) {
-    HotPathScope scope(mode);
+    opts.exec.mode = mode;
     const auto out = roundtrip<T>(values, dims, opts);
     check_conformance<T>(values, out, eb, what);
   }
@@ -210,8 +210,8 @@ TEST(TurboConformance, DecorrelateModeHoldsBound) {
   Options opts;
   opts.eb_abs = 1e-3;
   opts.decorrelate = true;
-  HotPathScope scope(HotPathMode::kTurbo);
-  const auto out = decompress(compress(f.values, f.dims, opts));
+  opts.exec.mode = HotPathMode::kTurbo;
+  const auto out = decompress(compress(f.values, f.dims, opts), opts.exec);
   check_conformance<float>(f.values, out.data, 1e-3, "decorrelate turbo");
 }
 
@@ -221,8 +221,8 @@ TEST(TurboConformance, MultiLayerPredictors) {
     Options opts;
     opts.eb_abs = 5e-3;
     opts.layers = layers;
-    HotPathScope scope(HotPathMode::kTurbo);
-    const auto out = decompress(compress(f.values, f.dims, opts));
+    opts.exec.mode = HotPathMode::kTurbo;
+    const auto out = decompress(compress(f.values, f.dims, opts), opts.exec);
     check_conformance<float>(f.values, out.data, 5e-3, "multi-layer turbo");
   }
 }
@@ -233,20 +233,12 @@ TEST(TurboConformance, TurboStreamDecodesIdenticallyInAllModes) {
   const auto f = data::hurricane3d(10, 20, 20);
   Options opts;
   opts.eb_abs = 1e-3;
-  std::vector<std::uint8_t> stream;
-  {
-    HotPathScope scope(HotPathMode::kTurbo);
-    stream = compress(f.values, f.dims, opts);
-  }
-  std::vector<float> fast_out, ref_out;
-  {
-    HotPathScope scope(HotPathMode::kFast);
-    fast_out = decompress(stream).data;
-  }
-  {
-    HotPathScope scope(HotPathMode::kReference);
-    ref_out = decompress(stream).data;
-  }
+  opts.exec.mode = HotPathMode::kTurbo;
+  const auto stream = compress(f.values, f.dims, opts);
+  const auto fast_out =
+      decompress(stream, ExecPolicy::with_mode(HotPathMode::kFast)).data;
+  const auto ref_out =
+      decompress(stream, ExecPolicy::with_mode(HotPathMode::kReference)).data;
   EXPECT_EQ(fast_out, ref_out);
   check_conformance<float>(f.values, fast_out, 1e-3, "turbo stream decode");
 }
@@ -255,7 +247,7 @@ TEST(TurboConformance, TurboIsDeterministic) {
   const auto f = data::climate2d(64, 96);
   Options opts;
   opts.eb_abs = 1e-3;
-  HotPathScope scope(HotPathMode::kTurbo);
+  opts.exec.mode = HotPathMode::kTurbo;
   const auto a = compress(f.values, f.dims, opts);
   const auto b = compress(f.values, f.dims, opts);
   EXPECT_EQ(a, b);

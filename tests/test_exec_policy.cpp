@@ -165,20 +165,19 @@ TEST(CodecScratchTest, SharedArenaAcrossPoolWorkers) {
   for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(streams[i], golden) << i;
 }
 
-TEST(ExecPolicyTest, PerCallModeOverridesProcessDefault) {
+TEST(ExecPolicyTest, UnsetModeIsFastAndPerCallModeApplies) {
   // Constant field: interior predictions are exact, so the fast walk's
   // strict-hit counter is ~n while the turbo walk (which skips the
   // advisory statistic) reports 0 — an observable mode-specific effect.
   const std::vector<float> values(1024, 1.0f);
   const Dims dims{1024};
-  HotPathScope default_turbo(HotPathMode::kTurbo);
-  const auto inherited = prediction_quantization_pass(
-      values, dims, 1, 8, 1e-3);  // policy unset -> process default
-  EXPECT_EQ(inherited.strict_hits, 0u);
-  const auto overridden = prediction_quantization_pass(
+  const auto unset = prediction_quantization_pass(
+      values, dims, 1, 8, 1e-3);  // policy unset -> kFast
+  EXPECT_GT(unset.strict_hits, 0u);
+  const auto turbo = prediction_quantization_pass(
       values, dims, 1, 8, 1e-3, false,
-      ExecPolicy::with_mode(HotPathMode::kFast));
-  EXPECT_GT(overridden.strict_hits, 0u);
+      ExecPolicy::with_mode(HotPathMode::kTurbo));
+  EXPECT_EQ(turbo.strict_hits, 0u);
 }
 
 TEST(ExecPolicyTest, ParallelPoolComesFromPolicy) {

@@ -77,35 +77,25 @@ void run_equivalence(const KernelCase& kc) {
   opts.layers = kc.layers;
   opts.decorrelate = kc.decorrelate;
 
-  std::vector<std::uint8_t> ref_stream, fast_stream;
-  {
-    HotPathScope scope(HotPathMode::kReference);
-    ref_stream = compress(std::span<const T>(values), kc.dims, opts);
-  }
-  {
-    HotPathScope scope(HotPathMode::kFast);
-    fast_stream = compress(std::span<const T>(values), kc.dims, opts);
-  }
+  opts.exec.mode = HotPathMode::kReference;
+  const auto ref_stream = compress(std::span<const T>(values), kc.dims, opts);
+  opts.exec.mode = HotPathMode::kFast;
+  const auto fast_stream = compress(std::span<const T>(values), kc.dims, opts);
   EXPECT_EQ(ref_stream, fast_stream)
       << "streams diverge for dims=" << kc.dims.to_string()
       << " layers=" << kc.layers << " rel=" << kc.relative
       << " decorrelate=" << kc.decorrelate;
 
   // Cross-decode: the fast stream through both decoders, bit-identical.
+  const auto ref_exec = ExecPolicy::with_mode(HotPathMode::kReference);
+  const auto fast_exec = ExecPolicy::with_mode(HotPathMode::kFast);
   std::vector<T> ref_out, fast_out;
-  {
-    HotPathScope scope(HotPathMode::kReference);
-    if constexpr (std::is_same_v<T, float>)
-      ref_out = decompress(fast_stream).data;
-    else
-      ref_out = decompress64(fast_stream).data;
-  }
-  {
-    HotPathScope scope(HotPathMode::kFast);
-    if constexpr (std::is_same_v<T, float>)
-      fast_out = decompress(fast_stream).data;
-    else
-      fast_out = decompress64(fast_stream).data;
+  if constexpr (std::is_same_v<T, float>) {
+    ref_out = decompress(fast_stream, ref_exec).data;
+    fast_out = decompress(fast_stream, fast_exec).data;
+  } else {
+    ref_out = decompress64(fast_stream, ref_exec).data;
+    fast_out = decompress64(fast_stream, fast_exec).data;
   }
   expect_bitwise_equal(ref_out, fast_out, "decode paths diverge");
 
@@ -162,15 +152,10 @@ TEST(KernelEquivalence, RealisticFieldsMatchOnEveryRank) {
   for (const auto& f : fields) {
     Options opts;
     opts.eb_rel = 1e-4;
-    std::vector<std::uint8_t> ref_stream, fast_stream;
-    {
-      HotPathScope scope(HotPathMode::kReference);
-      ref_stream = compress(f.values, f.dims, opts);
-    }
-    {
-      HotPathScope scope(HotPathMode::kFast);
-      fast_stream = compress(f.values, f.dims, opts);
-    }
+    opts.exec.mode = HotPathMode::kReference;
+    const auto ref_stream = compress(f.values, f.dims, opts);
+    opts.exec.mode = HotPathMode::kFast;
+    const auto fast_stream = compress(f.values, f.dims, opts);
     EXPECT_EQ(ref_stream, fast_stream) << f.name;
     const auto ref = decompress(ref_stream);
     expect_bitwise_equal(ref.data, decompress(fast_stream).data, f.name);
@@ -181,15 +166,12 @@ TEST(KernelEquivalence, PointwiseModeUnaffected) {
   // compress_pointwise_rel drives the f64 pipeline internally; the mode
   // switch must not change its streams either.
   const auto f = data::climate2d(32, 40);
-  std::vector<std::uint8_t> ref_stream, fast_stream;
-  {
-    HotPathScope scope(HotPathMode::kReference);
-    ref_stream = compress_pointwise_rel(f.values, f.dims, 1e-3);
-  }
-  {
-    HotPathScope scope(HotPathMode::kFast);
-    fast_stream = compress_pointwise_rel(f.values, f.dims, 1e-3);
-  }
+  Options opts;
+  opts.exec.mode = HotPathMode::kReference;
+  const auto ref_stream = compress_pointwise_rel(f.values, f.dims, 1e-3, opts);
+  opts.exec.mode = HotPathMode::kFast;
+  const auto fast_stream =
+      compress_pointwise_rel(f.values, f.dims, 1e-3, opts);
   EXPECT_EQ(ref_stream, fast_stream);
 }
 

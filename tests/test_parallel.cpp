@@ -173,14 +173,16 @@ TEST(ParallelCodec, TurboStreamDeterministicAndConformant) {
   const auto f = data::hurricane3d(12, 16, 16);
   Options opts;
   opts.eb_abs = 1e-3;
-  HotPathScope scope(HotPathMode::kTurbo);
+  opts.exec.mode = HotPathMode::kTurbo;
   const auto a = compress_with(f.values, f.dims, opts, 1, 4);
   const auto b = compress_with(f.values, f.dims, opts, 4, 4);
   EXPECT_EQ(a.stream, b.stream);
   // Cross-check: a turbo slab container decodes through parallel_decompress
   // within the bound, at any worker count.
   for (const std::size_t threads : {1u, 3u}) {
-    const auto out = parallel_decompress(a.stream, threads);
+    ExecPolicy exec = opts.exec;
+    exec.threads = threads;
+    const auto out = parallel_decompress(a.stream, exec);
     ASSERT_EQ(out.data.size(), f.values.size());
     for (std::size_t i = 0; i < f.values.size(); ++i)
       ASSERT_LE(std::fabs(static_cast<double>(f.values[i]) -
@@ -208,7 +210,9 @@ TEST(ParallelCodec, RansBackendRoundTripsAndIsWorkerCountInvariant) {
   EXPECT_NE(a.stream, h.stream);
 
   for (const std::size_t threads : {1u, 3u}) {
-    const auto out = parallel_decompress(a.stream, threads);
+    ExecPolicy exec = opts.exec;
+    exec.threads = threads;
+    const auto out = parallel_decompress(a.stream, exec);
     ASSERT_EQ(out.data.size(), f.values.size());
     for (std::size_t i = 0; i < f.values.size(); ++i)
       ASSERT_LE(std::fabs(static_cast<double>(f.values[i]) -

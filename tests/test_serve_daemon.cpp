@@ -142,10 +142,9 @@ TEST(ServeDaemon, LoopbackRoundTripMatchesDirectReader) {
   server.stop();
 }
 
-TEST(ServeDaemon, ShardedArchiveServesIdenticalBytesInBothFetchModes) {
-  // The daemon in front of a manifest + shards, in mmap AND pread mode,
-  // must serve byte-identical fields and regions to a direct single-file
-  // reader of the same data.
+TEST(ServeDaemon, ShardedArchiveServesIdenticalBytes) {
+  // The daemon in front of a manifest + shards must serve byte-identical
+  // fields and regions to a direct single-file reader of the same data.
   const std::string single = make_archive("sharded_ref.sza");
   const std::string manifest = tmp_path("sharded.szm");
   {
@@ -164,12 +163,8 @@ TEST(ServeDaemon, ShardedArchiveServesIdenticalBytesInBothFetchModes) {
   archive::ArchiveReader direct(single, 2);
   const auto r = region3(3, 5, 2, 9, 8, 7);
 
-  for (const FetchMode fetch : {FetchMode::kPread, FetchMode::kMmap}) {
-    ServerConfig cfg = loopback_config(
-        fetch == FetchMode::kMmap ? "shard_mmap" : "shard_pread");
-    cfg.fetch = fetch;
-    Server server(manifest, cfg);
-    EXPECT_EQ(server.reader().fetch_mode(), fetch);
+  {
+    Server server(manifest, loopback_config("shard_pread"));
     EXPECT_TRUE(server.reader().sharded());
     server.start();
     Client client("loopback", server.endpoint());

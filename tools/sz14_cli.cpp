@@ -110,18 +110,17 @@ struct Args {
                "[--dtype f32|f64] [--block DIMS] [-t THREADS] [--turbo] "
                "[--entropy huffman|rans] [--parity [--parity-group N]] "
                "[--shard-size BYTES[K|M|G]]\n"
-               "  sz14 archive ls      -i IN [--mmap]\n"
-               "  sz14 archive stat    -i IN [-f NAME] [--mmap]\n"
+               "  sz14 archive ls      -i IN\n"
+               "  sz14 archive stat    -i IN [-f NAME]\n"
                "  sz14 archive extract -i IN -f NAME -o OUT "
-               "[--origin DIMS --shape DIMS] [-t THREADS] [--mmap]\n"
+               "[--origin DIMS --shape DIMS] [-t THREADS]\n"
                "  sz14 archive cat     -i IN -f NAME "
-               "[--origin DIMS --shape DIMS] [--limit N] [-t THREADS] "
-               "[--mmap]\n"
+               "[--origin DIMS --shape DIMS] [--limit N] [-t THREADS]\n"
                "  sz14 archive fsck    -i IN [--repair]\n"
                "  sz14 archive scrub   -i IN [--repair] [-t THREADS]\n"
                "  sz14 serve -i IN [--transport tcp|unix] "
                "[--listen ENDPOINT] [-t THREADS] [--cache BYTES[K|M|G]] "
-               "[--max-sessions N] [--no-coalesce] [--degraded] [--mmap] "
+               "[--max-sessions N] [--no-coalesce] [--degraded] "
                "[--idle-timeout MS] [--drain-grace MS]\n"
                "  sz14 get   --connect ENDPOINT [--transport tcp|unix] "
                "(--ls | --stats | --stat -f NAME | --scrub [--repair] | "
@@ -145,12 +144,6 @@ struct Args {
                "  single-file container is written.  ls/stat/extract/cat/"
                "fsck/scrub and\n"
                "  serve open both layouts transparently.\n"
-               "  --mmap (ls/stat/extract/cat/serve) decodes straight from "
-               "memory-mapped\n"
-               "  payload bytes with readahead advice, falling back to pread "
-               "when\n"
-               "  mapping is unavailable; output is bit-identical either "
-               "way.\n"
                "  archive ls/stat/extract/cat accept --salvage to open a "
                "crash-damaged\n"
                "  archive at its last valid checkpoint instead of failing, "
@@ -193,6 +186,36 @@ EntropyBackend parse_entropy(const std::string& value) {
   usage("--entropy must be huffman|rans");
 }
 
+/// Leading decimal digits of `text`; `pos` receives the index one past
+/// them.  std::stoull alone skips blanks and accepts a sign — "-1" wraps
+/// to 2^64-1 — so the first character must be a digit.  usage() (exit 2)
+/// when there is none or the value overflows.
+unsigned long long parse_digits(const std::string& text, std::size_t& pos,
+                                const char* what) {
+  pos = 0;
+  unsigned long long v = 0;
+  if (!text.empty() && std::isdigit(static_cast<unsigned char>(text[0]))) {
+    try {
+      v = std::stoull(text, &pos);
+    } catch (const std::exception&) {
+      pos = 0;  // out of range
+    }
+  }
+  if (pos == 0) usage(("bad " + std::string(what) + ": " + text).c_str());
+  return v;
+}
+
+/// Every unsigned count on the command line: digits only, nothing after
+/// them, and in range of T — otherwise usage() (exit 2).
+template <typename T = std::size_t>
+T parse_count(const std::string& text, const char* what) {
+  std::size_t pos = 0;
+  const unsigned long long v = parse_digits(text, pos, what);
+  if (pos != text.size() || v > std::numeric_limits<T>::max())
+    usage(("bad " + std::string(what) + ": " + text).c_str());
+  return static_cast<T>(v);
+}
+
 Dims parse_dims(const std::string& text) {
   std::vector<std::size_t> ext;
   std::size_t pos = 0;
@@ -201,7 +224,7 @@ Dims parse_dims(const std::string& text) {
     if (end == std::string::npos) end = text.size();
     const std::string part = text.substr(pos, end - pos);
     if (part.empty()) usage("empty dimension in -d");
-    ext.push_back(std::stoull(part));
+    ext.push_back(parse_count(part, "dimension"));
     pos = end + 1;
   }
   return Dims(std::span<const std::size_t>(ext));
@@ -212,12 +235,7 @@ Dims parse_dims(const std::string& text) {
 /// 64MiB).
 std::size_t parse_size_bytes(const std::string& text) {
   std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(text, &pos);
-  } catch (const std::exception&) {
-    usage(("bad size: " + text).c_str());
-  }
+  const unsigned long long v = parse_digits(text, pos, "size");
   std::string suffix = text.substr(pos);
   for (char& c : suffix) c = static_cast<char>(std::tolower(c));
   if (!suffix.empty() && suffix.back() == 'b') {
@@ -259,13 +277,13 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--pwrel") {
       a.pwrel = std::stod(next());
     } else if (flag == "-m") {
-      a.opts.interval_bits = static_cast<unsigned>(std::stoul(next()));
+      a.opts.interval_bits = parse_count<unsigned>(next(), "-m");
     } else if (flag == "-n") {
-      a.opts.layers = static_cast<unsigned>(std::stoul(next()));
+      a.opts.layers = parse_count<unsigned>(next(), "-n");
     } else if (flag == "--decorrelate") {
       a.opts.decorrelate = true;
     } else if (flag == "-t") {
-      a.threads = std::stoull(next());
+      a.threads = parse_count(next(), "-t");
     } else if (flag == "--turbo") {
       a.turbo = true;
     } else if (flag == "--entropy") {
@@ -491,7 +509,6 @@ struct ArchiveArgs {
   bool repair = false;
   bool salvage = false;
   bool degraded = false;
-  bool mmap = false;  // read side: FetchMode::kMmap
 };
 
 ArchiveArgs parse_archive(int argc, char** argv) {
@@ -529,13 +546,13 @@ ArchiveArgs parse_archive(int argc, char** argv) {
     } else if (flag == "--rel") {
       a.eb_rel = std::stod(next());
     } else if (flag == "-t") {
-      a.threads = std::stoull(next());
+      a.threads = parse_count(next(), "-t");
     } else if (flag == "--turbo") {
       a.turbo = true;
     } else if (flag == "--entropy") {
       a.entropy = parse_entropy(next());
     } else if (flag == "--limit") {
-      a.limit = std::stoull(next());
+      a.limit = parse_count(next(), "--limit");
     } else if (flag == "--repair") {
       a.repair = true;
     } else if (flag == "--salvage") {
@@ -545,13 +562,11 @@ ArchiveArgs parse_archive(int argc, char** argv) {
     } else if (flag == "--parity") {
       if (a.parity_group == 0) a.parity_group = archive::kDefaultParityGroup;
     } else if (flag == "--parity-group") {
-      a.parity_group = std::stoull(next());
+      a.parity_group = parse_count(next(), "--parity-group");
       if (a.parity_group == 0) usage("--parity-group must be >= 1");
     } else if (flag == "--shard-size") {
       a.shard_size = parse_size_bytes(next());
       if (a.shard_size == 0) usage("--shard-size must be >= 1");
-    } else if (flag == "--mmap") {
-      a.mmap = true;
     } else {
       usage(("unknown flag " + flag).c_str());
     }
@@ -583,7 +598,8 @@ std::optional<archive::Region> parse_region_texts(
   while (pos <= origin_text.size()) {
     std::size_t end = origin_text.find('x', pos);
     if (end == std::string::npos) end = origin_text.size();
-    origin.push_back(std::stoull(origin_text.substr(pos, end - pos)));
+    origin.push_back(
+        parse_count(origin_text.substr(pos, end - pos), "--origin"));
     pos = end + 1;
   }
   if (origin.size() != shape.rank())
@@ -674,12 +690,7 @@ std::unique_ptr<archive::ArchiveReader> open_archive(const ArchiveArgs& a) {
                  : (a.salvage ? archive::OpenMode::kSalvage
                               : archive::OpenMode::kStrict);
   auto reader = std::make_unique<archive::ArchiveReader>(
-      a.input, a.threads, ExecPolicy{}, mode,
-      a.mmap ? FetchMode::kMmap : FetchMode::kPread);
-  if (a.mmap && reader->fetch_mode() != FetchMode::kMmap)
-    std::fprintf(stderr,
-                 "warning: %s: mmap unavailable; falling back to pread\n",
-                 a.input.c_str());
+      a.input, a.threads, ExecPolicy{}, mode);
   const auto& info = reader->salvage_info();
   if (info.fallback)
     std::fprintf(stderr,
@@ -901,18 +912,16 @@ int cmd_serve(int argc, char** argv) {
       cfg.endpoint = next();
       listen_given = true;
     } else if (flag == "-t") {
-      cfg.threads = std::stoull(next());
+      cfg.threads = parse_count(next(), "-t");
     } else if (flag == "--cache") {
       cfg.cache_bytes = parse_size_bytes(next());
       cache_given = true;
     } else if (flag == "--max-sessions") {
-      cfg.max_sessions = std::stoull(next());
+      cfg.max_sessions = parse_count(next(), "--max-sessions");
     } else if (flag == "--no-coalesce") {
       cfg.coalescing = false;
     } else if (flag == "--degraded") {
       cfg.degraded = true;
-    } else if (flag == "--mmap") {
-      cfg.fetch = FetchMode::kMmap;
     } else if (flag == "--idle-timeout") {
       cfg.idle_timeout_ms = std::stoi(next());
     } else if (flag == "--drain-grace") {
@@ -1004,7 +1013,7 @@ int run_get(int argc, char** argv) {
     } else if (flag == "--shape") {
       shape_text = next();
     } else if (flag == "--limit") {
-      limit = std::stoull(next());
+      limit = parse_count(next(), "--limit");
     } else if (flag == "--ls") {
       do_ls = true;
     } else if (flag == "--stat") {
@@ -1020,7 +1029,7 @@ int run_get(int argc, char** argv) {
     } else if (flag == "--connect-timeout") {
       ccfg.connect_timeout_ms = std::stoi(next());
     } else if (flag == "--retries") {
-      ccfg.retries = static_cast<unsigned>(std::stoul(next()));
+      ccfg.retries = parse_count<unsigned>(next(), "--retries");
     } else {
       usage(("unknown flag " + flag).c_str());
     }
