@@ -2,6 +2,13 @@
 
 namespace sz14::archive {
 
+bool covers(const Dims& have, const Dims& need) noexcept {
+  if (have.rank() != need.rank()) return false;
+  for (std::size_t a = 0; a < need.rank(); ++a)
+    if (have.extents()[a] < need.extents()[a]) return false;
+  return true;
+}
+
 void BlockCache::set_capacity(std::size_t bytes) {
   std::vector<std::shared_ptr<const void>> graveyard;
   {
@@ -22,7 +29,8 @@ void BlockCache::clear() {
 std::shared_ptr<const void> BlockCache::get_erased(std::size_t field,
                                                    std::size_t block,
                                                    std::size_t elem_size,
-                                                   std::size_t min_bytes) {
+                                                   const Dims& need,
+                                                   Dims& shape) {
   if (!enabled()) {
     // Disabled caches don't count misses: the counters should describe
     // cache behaviour, not reads that never opted in.
@@ -31,19 +39,20 @@ std::shared_ptr<const void> BlockCache::get_erased(std::size_t field,
   std::lock_guard lock(mutex_);
   const auto it = map_.find(Key{field, block});
   if (it == map_.end() || it->second->elem_size != elem_size ||
-      it->second->bytes < min_bytes) {
+      (!need.empty() && !covers(it->second->shape, need))) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   hits_.fetch_add(1, std::memory_order_relaxed);
+  shape = it->second->shape;
   return it->second->data;
 }
 
 void BlockCache::put_erased(std::size_t field, std::size_t block,
                             std::size_t elem_size,
                             std::shared_ptr<const void> data,
-                            std::size_t bytes) {
+                            std::size_t bytes, const Dims& shape) {
   std::vector<std::shared_ptr<const void>> graveyard;
   {
     std::lock_guard lock(mutex_);
@@ -52,17 +61,21 @@ void BlockCache::put_erased(std::size_t field, std::size_t block,
     const Key key{field, block};
     const auto it = map_.find(key);
     if (it != map_.end()) {
-      // A resident entry with more of the block stays: the newcomer's
-      // values are a prefix of it.  Otherwise concurrent decoders raced
-      // on the block, or a longer decode replaces a prefix; keep the
-      // newcomer and fix the accounting.
-      if (it->second->bytes > bytes) return;
+      // A resident entry that covers the newcomer stays (refreshed): the
+      // newcomer's values are a corner of it.  Otherwise a decode reaching
+      // further on some axis replaces it, even one holding more values;
+      // keep the newcomer and fix the accounting.
+      if (it->second->elem_size == elem_size &&
+          covers(it->second->shape, shape)) {
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return;
+      }
       bytes_.fetch_sub(it->second->bytes, std::memory_order_relaxed);
       graveyard.push_back(std::move(it->second->data));
       lru_.erase(it->second);
       map_.erase(it);
     }
-    lru_.push_front(Entry{key, std::move(data), bytes, elem_size});
+    lru_.push_front(Entry{key, std::move(data), bytes, elem_size, shape});
     map_.emplace(key, lru_.begin());
     bytes_.fetch_add(bytes, std::memory_order_relaxed);
     evict_to(cap, graveyard);

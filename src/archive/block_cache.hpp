@@ -13,12 +13,12 @@
 // that never opts in pays one branch per block and nothing else.  An entry
 // larger than the whole capacity is never admitted.
 //
-// An entry may hold only a block's leading values (the reader decodes a
-// prefix of the block's planes when a whole block would not fit without
-// evicting).  The three-argument get() hits only when the entry covers the
-// values the read needs — a shorter entry counts as a miss and is replaced
-// by the longer decode — and put() never replaces an entry with a shorter
-// one.
+// An entry may hold only a corner of a block: its leading box [0, c_a) on
+// every axis (the reader decodes just the box a read needs when a whole
+// block would not fit without evicting).  Each entry keeps its shape.  The
+// shape-taking get() hits only when the entry covers the needed corner on
+// EVERY axis — otherwise it counts a miss and the caller's decode replaces
+// it — and put() never replaces an entry that covers the newcomer.
 #pragma once
 
 #include <atomic>
@@ -30,7 +30,22 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/dims.hpp"
+
 namespace sz14::archive {
+
+/// Does a corner shaped `have` contain the corner `need` (same rank, at
+/// least as long on every axis)?
+[[nodiscard]] bool covers(const Dims& have, const Dims& need) noexcept;
+
+/// A resident entry: `values` row-major in `shape`, the leading box of its
+/// block.  Null `values` is a miss.
+template <typename T>
+struct CachedBlock {
+  std::shared_ptr<const std::vector<T>> values;
+  Dims shape;
+  explicit operator bool() const noexcept { return values != nullptr; }
+};
 
 class BlockCache {
  public:
@@ -71,33 +86,45 @@ class BlockCache {
     evictions_.store(0, std::memory_order_relaxed);
   }
 
-  /// Lookup; null on miss.  The element type is pinned per field (the
-  /// reader validates dtype before decoding), and a stored-type mismatch
-  /// is treated as a miss rather than a cast.
+  /// Lookup of whatever is resident; null on miss.  The element type is
+  /// pinned per field (the reader validates dtype before decoding), and a
+  /// stored-type mismatch is treated as a miss rather than a cast.
   template <typename T>
   [[nodiscard]] std::shared_ptr<const std::vector<T>> get(std::size_t field,
                                                           std::size_t block) {
-    return get<T>(field, block, 0);
+    return get<T>(field, block, Dims()).values;
   }
 
-  /// Lookup that hits only when the entry holds at least `min_values`
-  /// leading values; a shorter entry counts as a miss and returns null.
+  /// Lookup that hits only when the entry covers the corner `need` on every
+  /// axis (an empty `need` takes any entry); anything else counts a miss.
   template <typename T>
-  [[nodiscard]] std::shared_ptr<const std::vector<T>> get(
-      std::size_t field, std::size_t block, std::size_t min_values) {
-    return std::static_pointer_cast<const std::vector<T>>(
-        get_erased(field, block, sizeof(T), min_values * sizeof(T)));
+  [[nodiscard]] CachedBlock<T> get(std::size_t field, std::size_t block,
+                                   const Dims& need) {
+    CachedBlock<T> hit;
+    hit.values = std::static_pointer_cast<const std::vector<T>>(
+        get_erased(field, block, sizeof(T), need, hit.shape));
+    return hit;
   }
 
-  /// Insert (or refresh) a decoded block, or a prefix of one.  No-op when
-  /// disabled, when the entry alone exceeds the capacity, or when a longer
-  /// entry for the block is already resident.
+  /// Insert (or refresh) a decoded corner of a block, `data` row-major in
+  /// `shape`.  No-op when disabled or when the entry alone exceeds the
+  /// capacity; when the resident entry for the block covers `shape`, it
+  /// stays and only its recency is refreshed.
+  template <typename T>
+  void put(std::size_t field, std::size_t block,
+           std::shared_ptr<const std::vector<T>> data, const Dims& shape) {
+    const std::size_t bytes = data->size() * sizeof(T);
+    put_erased(field, block, sizeof(T),
+               std::static_pointer_cast<const void>(std::move(data)), bytes,
+               shape);
+  }
+
+  /// put() of a flat run of values (a rank-1 shape of its length).
   template <typename T>
   void put(std::size_t field, std::size_t block,
            std::shared_ptr<const std::vector<T>> data) {
-    const std::size_t bytes = data->size() * sizeof(T);
-    put_erased(field, block, sizeof(T),
-               std::static_pointer_cast<const void>(std::move(data)), bytes);
+    const Dims flat{data->size()};
+    put<T>(field, block, std::move(data), flat);
   }
 
   /// Drop every entry (stats are kept; use reset_stats() for those).
@@ -120,14 +147,18 @@ class BlockCache {
     std::shared_ptr<const void> data;
     std::size_t bytes;
     std::size_t elem_size;
+    Dims shape;
   };
 
+  /// On a hit, `shape` receives the entry's shape.
   [[nodiscard]] std::shared_ptr<const void> get_erased(std::size_t field,
                                                        std::size_t block,
                                                        std::size_t elem_size,
-                                                       std::size_t min_bytes);
+                                                       const Dims& need,
+                                                       Dims& shape);
   void put_erased(std::size_t field, std::size_t block, std::size_t elem_size,
-                  std::shared_ptr<const void> data, std::size_t bytes);
+                  std::shared_ptr<const void> data, std::size_t bytes,
+                  const Dims& shape);
 
   /// Drop LRU entries until resident bytes fit `budget`.  Caller holds
   /// mutex_; freed vectors are moved into `graveyard` so their (possibly

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace sz14::archive {
 
@@ -75,6 +76,20 @@ bool BlockGrid::intersects(std::size_t index, const Region& r) const {
 
 std::vector<std::size_t> BlockGrid::touched(const Region& r) const {
   const std::size_t rank = field_.rank();
+  if (r.rank != rank)
+    throw std::invalid_argument("archive: region rank " +
+                                std::to_string(r.rank) + " for a rank-" +
+                                std::to_string(rank) + " field");
+  for (std::size_t a = 0; a < rank; ++a) {
+    if (r.extent[a] == 0)
+      throw std::invalid_argument("archive: empty region extent on axis " +
+                                  std::to_string(a));
+    // Overflow-safe: origin + extent can wrap for a hostile region.
+    if (r.extent[a] > field_.extent(a) ||
+        r.origin[a] > field_.extent(a) - r.extent[a])
+      throw std::invalid_argument("archive: region exceeds field bounds on "
+                                  "axis " + std::to_string(a));
+  }
   std::array<std::size_t, kMaxDims> lo{};
   std::array<std::size_t, kMaxDims> hi{};  // inclusive
   std::size_t n = 1;

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstddef>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -60,7 +59,9 @@ class BlockGrid {
 
   /// Every block intersecting the hyperslab, ascending — enumerated from
   /// per-axis block-index ranges, so the cost is O(blocks touched), not
-  /// O(block_count()).  The region must lie inside the field.
+  /// O(block_count()).  Throws std::invalid_argument when the region's
+  /// rank differs from the field's, an extent is zero, or the region does
+  /// not lie inside the field.
   [[nodiscard]] std::vector<std::size_t> touched(const Region& r) const;
 
  private:
@@ -70,37 +71,7 @@ class BlockGrid {
   std::size_t count_ = 1;
 };
 
-/// Copy a subcuboid between two row-major arrays: `ext` elements per axis,
-/// read from `src` (shaped `src_dims`) starting at `src_origin`, written to
-/// `dst` (shaped `dst_dims`) starting at `dst_origin`.  Rows along the
-/// fastest axis are memcpy'd.  Bounds are the caller's responsibility.
-template <typename T>
-void copy_subcuboid(const T* src, const Dims& src_dims,
-                    std::span<const std::size_t> src_origin, T* dst,
-                    const Dims& dst_dims,
-                    std::span<const std::size_t> dst_origin,
-                    std::span<const std::size_t> ext) {
-  const std::size_t rank = src_dims.rank();
-  const std::size_t row = ext[rank - 1];
-  std::size_t rows = 1;
-  for (std::size_t a = 0; a + 1 < rank; ++a) rows *= ext[a];
-
-  std::array<std::size_t, kMaxDims> coord{};
-  for (std::size_t r = 0; r < rows; ++r) {
-    // Unravel r over the slow axes of ext.
-    std::size_t rem = r;
-    for (std::size_t a = rank - 1; a-- > 0;) {
-      coord[a] = rem % ext[a];
-      rem /= ext[a];
-    }
-    std::size_t src_off = src_origin[rank - 1];
-    std::size_t dst_off = dst_origin[rank - 1];
-    for (std::size_t a = 0; a + 1 < rank; ++a) {
-      src_off += (src_origin[a] + coord[a]) * src_dims.stride(a);
-      dst_off += (dst_origin[a] + coord[a]) * dst_dims.stride(a);
-    }
-    std::memcpy(dst + dst_off, src + src_off, row * sizeof(T));
-  }
-}
+/// copy_subcuboid lives with Dims (the codec's corner decode uses it too).
+using sz14::copy_subcuboid;
 
 }  // namespace sz14::archive

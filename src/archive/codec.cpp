@@ -48,14 +48,16 @@ std::vector<double> sz14_d64(std::span<const std::uint8_t> stream,
   return decompress64(stream, exec).data;
 }
 
-void sz14_p32(std::span<const std::uint8_t> stream, std::size_t planes,
-              std::span<float> out, const ExecPolicy& exec) {
-  decompress_prefix_into(stream, planes, out, exec);
+void sz14_corner32(std::span<const std::uint8_t> stream,
+                   std::span<const std::size_t> corner, std::span<float> out,
+                   const ExecPolicy& exec) {
+  decompress_corner_into(stream, corner, out, exec);
 }
 
-void sz14_p64(std::span<const std::uint8_t> stream, std::size_t planes,
-              std::span<double> out, const ExecPolicy& exec) {
-  decompress_prefix_into(stream, planes, out, exec);
+void sz14_corner64(std::span<const std::uint8_t> stream,
+                   std::span<const std::size_t> corner,
+                   std::span<double> out, const ExecPolicy& exec) {
+  decompress_corner_into(stream, corner, out, exec);
 }
 
 // --- zfp_like / fpzip_like: f32 through the baseline classes --------------
@@ -115,7 +117,7 @@ std::vector<double> gzip_d64(std::span<const std::uint8_t> stream,
 
 constexpr CodecOps kCodecs[] = {
     {kCodecSz14, "sz14", true, sz14_c32, sz14_d32, sz14_c64, sz14_d64,
-     sz14_p32, sz14_p64},
+     sz14_corner32, sz14_corner64},
     {kCodecZfp, "zfp_like", true, zfp_c32, zfp_d32, nullptr, nullptr,
      nullptr, nullptr},
     {kCodecFpzip, "fpzip_like", false, fpzip_c32, fpzip_d32, nullptr, nullptr,

@@ -51,16 +51,17 @@ struct CodecOps {
   std::vector<double> (*decompress64)(std::span<const std::uint8_t> stream,
                                       const ExecPolicy& exec);
 
-  /// Leading-plane decode: fill `out` with the block's first `planes`
-  /// slices along axis 0, bit-identical to that prefix of the full decode
-  /// (out.size() == planes * the block's slice size).  Null for backends
-  /// whose decode cannot stop early; the reader then decodes whole blocks.
-  void (*decompress_prefix32)(std::span<const std::uint8_t> stream,
-                              std::size_t planes, std::span<float> out,
-                              const ExecPolicy& exec);
-  void (*decompress_prefix64)(std::span<const std::uint8_t> stream,
-                              std::size_t planes, std::span<double> out,
-                              const ExecPolicy& exec);
+  /// Corner decode: fill `out` with the block's leading box
+  /// [0, corner[a]) on every axis, compact and row-major in the corner's
+  /// shape, bit-identical to that sub-box of the full decode.  Null for
+  /// backends whose decode cannot stop early; the reader then decodes
+  /// whole blocks.
+  void (*decompress_corner32)(std::span<const std::uint8_t> stream,
+                              std::span<const std::size_t> corner,
+                              std::span<float> out, const ExecPolicy& exec);
+  void (*decompress_corner64)(std::span<const std::uint8_t> stream,
+                              std::span<const std::size_t> corner,
+                              std::span<double> out, const ExecPolicy& exec);
 };
 
 /// All registered codecs, id-ascending.

@@ -12,13 +12,13 @@
 namespace sz14::archive {
 namespace {
 
-/// The codec's leading-plane decoder for T (null when it has none).
+/// The codec's corner decoder for T (null when it has none).
 template <typename T>
-auto prefix_decoder(const CodecOps& ops) {
+auto corner_decoder(const CodecOps& ops) {
   if constexpr (std::is_same_v<T, float>)
-    return ops.decompress_prefix32;
+    return ops.decompress_corner32;
   else
-    return ops.decompress_prefix64;
+    return ops.decompress_corner64;
 }
 
 template <typename T>
@@ -224,7 +224,7 @@ ThreadPool& ArchiveReader::serving_pool() const {
 template <typename T>
 std::vector<T> ArchiveReader::decode_block(
     const FieldEntry& f, std::size_t block_index, const Dims& extents,
-    std::size_t planes, const ExecPolicy& exec,
+    const Dims& corner, const ExecPolicy& exec,
     std::atomic<std::uint64_t>* repairs) const {
   const BlockEntry& b = f.blocks[block_index];
   // The payload is staged in this thread's arena slot: steady-state
@@ -232,7 +232,7 @@ std::vector<T> ArchiveReader::decode_block(
   const std::span<std::uint8_t> staged = scratch_.local().payload(b.size);
   source_.read_at(b.offset, staged);
   std::span<const std::uint8_t> payload = staged;
-  // The CRC always covers the whole payload, also for a prefix decode.
+  // The CRC always covers the whole payload, also for a corner decode.
   std::vector<std::uint8_t> repaired;  // keeps a reconstruction alive
   if (crc32(payload) != b.crc) {
     crc_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -260,9 +260,9 @@ std::vector<T> ArchiveReader::decode_block(
   }
   const CodecOps& ops = *codec_by_id(f.codec);  // validated in read_footer
   std::vector<T> block;
-  if (planes < extents.extent(0)) {
-    block.resize(planes * extents.stride(0));
-    prefix_decoder<T>(ops)(payload, planes, block, exec);
+  if (!(corner == extents)) {
+    block.resize(corner.count());
+    corner_decoder<T>(ops)(payload, corner.extents(), block, exec);
   } else {
     block = codec_decompress<T>(ops, payload, exec);
   }
@@ -289,23 +289,11 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
   if (f.dtype != want)
     throw std::invalid_argument("archive: dtype mismatch reading field '" +
                                 f.name + "'");
-  if (region.rank != f.dims.rank())
-    throw std::invalid_argument("archive: region rank mismatch for field '" +
-                                f.name + "'");
-  for (std::size_t a = 0; a < region.rank; ++a) {
-    if (region.extent[a] == 0)
-      throw std::invalid_argument("archive: empty region extent");
-    // Overflow-safe: origin + extent can wrap for a hostile region.
-    if (region.extent[a] > f.dims.extent(a) ||
-        region.origin[a] > f.dims.extent(a) - region.extent[a])
-      throw std::invalid_argument("archive: region exceeds field bounds on "
-                                  "axis " + std::to_string(a));
-  }
-
+  // touched() validates the region before anything is allocated for it.
   const BlockGrid grid(f.dims, f.block_dims);
+  const std::vector<std::size_t> touched = grid.touched(region);
   const Dims out_dims = region.shape();
   std::vector<T> out(out_dims.count());
-  const std::vector<std::size_t> touched = grid.touched(region);
 
   // Per-read execution policy: resolve the mode once on the calling thread
   // (workers never consult process state); scratch is the reader's arena.
@@ -314,49 +302,50 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
   exec.pool = nullptr;  // block tasks are single-threaded
   exec.scratch = &scratch_;
 
-  // What one block contributes to this read.  The read needs the block's
-  // planes (slices along axis 0) up to the region's end on axis 0; it
-  // decodes only those when the codec can stop early and the whole block
-  // could not be cached without evicting something (or the cache is off).
+  // What one block contributes to this read.  Every prediction reads
+  // only values at or before it on every axis, so the read needs the
+  // block's corner up to the region's end on each axis.  It decodes just
+  // that corner when the codec can stop early and the whole block could
+  // not be cached without evicting something (or the cache is off).
   // Otherwise it decodes the whole block, so a roomy cache fills with
-  // whole blocks exactly as before.
-  const bool can_prefix = prefix_decoder<T>(*codec_by_id(f.codec)) != nullptr;
-  const std::size_t region_end0 = region.origin[0] + region.extent[0];
+  // whole blocks.
+  const bool can_corner =
+      corner_decoder<T>(*codec_by_id(f.codec)) != nullptr;
   struct Plan {
     std::size_t index;
     std::array<std::size_t, kMaxDims> origin;
-    Dims extents;
-    std::size_t need;    // values the read needs (a leading prefix)
-    std::size_t planes;  // planes to decode on a miss
+    Dims extents;  // the whole block
+    Dims need;     // the corner the read needs
+    Dims decode;   // the corner to decode on a miss: need or extents
   };
   const auto plan_for = [&](std::size_t i) {
-    Plan p{i, {}, grid.block_extents(i), 0, 0};
+    Plan p{i, {}, grid.block_extents(i), {}, {}};
     grid.block_origin(i, p.origin);
-    const std::size_t full = p.extents.extent(0);
-    const std::size_t depth = std::min(region_end0 - p.origin[0], full);
-    p.need = depth * p.extents.stride(0);
-    p.planes = can_prefix && depth < full &&
+    std::array<std::size_t, kMaxDims> need{};
+    for (std::size_t a = 0; a < region.rank; ++a)
+      need[a] = std::min(region.origin[a] + region.extent[a] - p.origin[a],
+                         p.extents.extent(a));
+    p.need = Dims(std::span<const std::size_t>(need.data(), region.rank));
+    p.decode = can_corner && !(p.need == p.extents) &&
                        !cache_.has_room(p.extents.count() * sizeof(T))
-                   ? depth
-                   : full;
+                   ? p.need
+                   : p.extents;
     return p;
   };
 
-  // Intersection of block cuboid and region, then strided copy.  `block`
-  // may be a prefix of the block: the copy reads only the needed planes.
-  const auto scatter_block = [&](const Plan& p, const std::vector<T>& block) {
+  // Intersection of block cuboid and region, then strided copy out of the
+  // decoded corner, which covers it (its shape is the source layout).
+  const auto scatter_block = [&](const Plan& p, const CachedBlock<T>& block) {
     std::array<std::size_t, kMaxDims> src_origin{};  // block-local
     std::array<std::size_t, kMaxDims> dst_origin{};  // region-local
     std::array<std::size_t, kMaxDims> ext{};
     for (std::size_t a = 0; a < region.rank; ++a) {
       const std::size_t lo = std::max(p.origin[a], region.origin[a]);
-      const std::size_t hi = std::min(p.origin[a] + p.extents.extent(a),
-                                      region.origin[a] + region.extent[a]);
       src_origin[a] = lo - p.origin[a];
       dst_origin[a] = lo - region.origin[a];
-      ext[a] = hi - lo;
+      ext[a] = p.need.extent(a) - src_origin[a];
     }
-    copy_subcuboid(block.data(), p.extents,
+    copy_subcuboid(block.values->data(), block.shape,
                    std::span<const std::size_t>(src_origin.data(),
                                                 region.rank),
                    out.data(), out_dims,
@@ -366,9 +355,9 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
   };
 
   const auto try_cached = [&](const Plan& p) -> bool {
-    const auto cached = cache_.get<T>(fi, p.index, p.need);
+    const CachedBlock<T> cached = cache_.get<T>(fi, p.index, p.need);
     if (!cached) return false;
-    scatter_block(p, *cached);
+    scatter_block(p, cached);
     return true;
   };
 
@@ -377,59 +366,65 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
   // counters aggregate across all calls).
   std::atomic<std::uint64_t> call_repairs{0};
 
-  // Decode the planned planes of one block (size-validated) as an
+  // Decode the planned corner of one block (size-validated) as an
   // immutable shared vector and offer it to the cache, which keeps it
-  // unless a longer entry for the block is already resident.
+  // unless the resident entry for the block already covers it.
   const auto decode_shared = [&](const Plan& p) {
     std::vector<T> decoded =
-        decode_block<T>(f, p.index, p.extents, p.planes, exec, &call_repairs);
-    const std::size_t expect = p.planes * p.extents.stride(0);
+        decode_block<T>(f, p.index, p.extents, p.decode, exec, &call_repairs);
+    const std::size_t expect = p.decode.count();
     if (decoded.size() != expect)
       throw std::runtime_error("archive: block " + std::to_string(p.index) +
                                " of field '" + f.name + "' decoded to " +
                                std::to_string(decoded.size()) +
                                " values, expected " + std::to_string(expect));
-    auto owned = std::make_shared<const std::vector<T>>(std::move(decoded));
-    cache_.put<T>(fi, p.index, owned);
+    CachedBlock<T> owned{
+        std::make_shared<const std::vector<T>>(std::move(decoded)), p.decode};
+    cache_.put<T>(fi, p.index, owned.values, owned.shape);
     return owned;
   };
 
   const bool coalesce = coalescing();
   const auto decode_and_scatter = [&](const Plan& p) {
     if (!coalesce) {
-      scatter_block(p, *decode_shared(p));
+      scatter_block(p, decode_shared(p));
       return;
     }
     // Single-flight: the first thread in decodes for everyone racing on
-    // this block; followers block until it publishes and share the
-    // vector.  The leader must publish on EVERY path or followers hang.
+    // this block; followers block until it publishes and share its corner.
+    // The leader must publish on EVERY path or followers hang.
+    const auto publish = [&](SingleFlight::Entry& entry,
+                             const CachedBlock<T>& block) {
+      flight_.publish(fi, p.index, entry,
+                      std::make_shared<const CachedBlock<T>>(block), nullptr);
+    };
     auto [entry, leader] = flight_.begin(fi, p.index);
     if (!leader) {
-      auto shared = std::static_pointer_cast<const std::vector<T>>(
+      CachedBlock<T> shared = *std::static_pointer_cast<const CachedBlock<T>>(
           flight_.wait(*entry));
-      // The leader decoded only what ITS read needed; a follower that
-      // needs deeper planes decodes its own prefix.
-      if (shared->size() < p.need) shared = decode_shared(p);
-      scatter_block(p, *shared);
+      // The leader decoded only what ITS read needed; a follower whose
+      // corner reaches further on any axis decodes its own.
+      if (!covers(shared.shape, p.need)) shared = decode_shared(p);
+      scatter_block(p, shared);
       return;
     }
     // Leadership re-probe: a decode that finished between our cache miss
     // and begin() already populated the cache — publish that instead of
     // decoding the block a second time.
-    if (const auto cached = cache_.get<T>(fi, p.index, p.need)) {
-      flight_.publish(fi, p.index, *entry, cached, nullptr);
-      scatter_block(p, *cached);
+    if (const CachedBlock<T> cached = cache_.get<T>(fi, p.index, p.need)) {
+      publish(*entry, cached);
+      scatter_block(p, cached);
       return;
     }
-    std::shared_ptr<const std::vector<T>> owned;
+    CachedBlock<T> owned;
     try {
       owned = decode_shared(p);
     } catch (...) {
       flight_.publish(fi, p.index, *entry, nullptr, std::current_exception());
       throw;
     }
-    flight_.publish(fi, p.index, *entry, owned, nullptr);
-    scatter_block(p, *owned);
+    publish(*entry, owned);
+    scatter_block(p, owned);
   };
 
   // Damage collection: with a report attached, an unrecoverable block is

@@ -12,10 +12,11 @@
 // — so block i's I/O overlaps block j's decompression instead of an
 // all-payloads-first barrier.
 //
-// A block a read needs only partly along axis 0 may be decoded only up to
-// the region's last plane in it (see read_region): when the codec has a
-// prefix hook and the whole block would not fit the cache without
-// evicting, or the cache is off.  Cache entries hold what was decoded.
+// A block a read needs only partly may be decoded only up to the region's
+// end on every axis — its corner, the box from the block origin (see
+// read_region) — when the codec has a corner hook and the whole block would
+// not fit the cache without evicting, or the cache is off.  Cache entries
+// hold what was decoded, with its shape.
 //
 // `blocks_decoded()` counts every block decode since construction (or the
 // last reset), which is how tests and benches verify that a region read
@@ -193,12 +194,14 @@ class ArchiveReader {
   /// any number of threads may call concurrently on one reader, with
   /// results bit-identical to sequential calls.
   ///
-  /// Per touched block the read needs the planes up to the region's end
-  /// on axis 0 inside it.  It decodes just those when the codec has a
-  /// prefix hook and the whole block could not be cached without evicting
-  /// something (or the cache is off); otherwise the whole block.  A cached
-  /// prefix that does not cover the read is a miss, replaced by the
-  /// longer decode.
+  /// Per touched block the read needs the corner [0, c_a) on every axis,
+  /// c_a = min(region end - block origin, block extent).  It decodes just
+  /// that corner when the codec has a corner hook and the whole block
+  /// could not be cached without evicting something (or the cache is off);
+  /// otherwise the whole block.  A cached corner that does not cover the
+  /// needed one on every axis is a miss, replaced by the new decode; a
+  /// coalesced follower whose corner the leader's does not cover decodes
+  /// its own.
   [[nodiscard]] std::vector<float> read_region(std::string_view name,
                                                const Region& region) const;
 
@@ -265,13 +268,13 @@ class ArchiveReader {
   }
 
   /// Blocks decoded since construction or reset_counters() (cache hits
-  /// decode nothing and do not count; a prefix decode counts as one).
+  /// decode nothing and do not count; a corner decode counts as one).
   [[nodiscard]] std::uint64_t blocks_decoded() const noexcept {
     return blocks_decoded_.load(std::memory_order_relaxed);
   }
 
   /// Values those decodes produced: a whole block adds its element count,
-  /// a prefix decode only its leading planes.  In-process only (not part
+  /// a corner decode only its corner's.  In-process only (not part
   /// of the serving protocol's stats).
   [[nodiscard]] std::uint64_t values_decoded() const noexcept {
     return values_decoded_.load(std::memory_order_relaxed);
@@ -321,15 +324,14 @@ class ArchiveReader {
                                   ReadDamage* damage) const;
 
   /// pread + CRC + decode of one block (cache not consulted here) shaped
-  /// `extents`: its leading `planes` along axis 0 through the codec's
-  /// prefix hook, or the whole block when planes covers extent(0).  The
-  /// CRC covers the whole payload either way.  A CRC failure attempts
-  /// parity reconstruction; on success `*repairs` (when non-null) is
-  /// bumped and the exact data is returned, otherwise BlockDamagedError is
-  /// thrown.
+  /// `extents`: its leading box `corner` through the codec's corner hook,
+  /// or the whole block when corner equals extents.  The CRC covers the
+  /// whole payload either way.  A CRC failure attempts parity
+  /// reconstruction; on success `*repairs` (when non-null) is bumped and
+  /// the exact data is returned, otherwise BlockDamagedError is thrown.
   template <typename T>
   std::vector<T> decode_block(const FieldEntry& f, std::size_t block_index,
-                              const Dims& extents, std::size_t planes,
+                              const Dims& extents, const Dims& corner,
                               const ExecPolicy& exec,
                               std::atomic<std::uint64_t>* repairs) const;
 

@@ -3,7 +3,9 @@
 // daemon, where many clients ask for overlapping regions — exactly one
 // thread (the leader) performs the pread+CRC+decode and every concurrent
 // follower blocks until the leader publishes, then shares the decoded
-// vector.  N concurrent reads of one block cost one decode instead of N.
+// corner (the reader publishes a CachedBlock: values plus shape; a
+// follower whose corner it does not cover decodes its own).  N concurrent
+// reads of one block cost one decode instead of N.
 //
 // This sits IN FRONT of the BlockCache: the cache deduplicates *repeat*
 // reads across time, the single-flight map deduplicates *simultaneous*
@@ -15,9 +17,9 @@
 // Entries exist only while a decode is in flight: begin() inserts, the
 // leader's publish() removes.  A leader that fails publishes the exception
 // instead, so followers rethrow rather than hang.  Values are type-erased
-// (shared_ptr<const void>) exactly like BlockCache storage; the element
-// type is pinned per field by the reader's dtype check, so a (field,
-// block) key can never be requested at two types concurrently.
+// (shared_ptr<const void>); the element type is pinned per field by the
+// reader's dtype check, so a (field, block) key can never be requested at
+// two types concurrently.
 #pragma once
 
 #include <atomic>

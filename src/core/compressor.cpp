@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -163,15 +162,15 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
 /// must already match the decoded element count) and `owned_out` (resized
 /// only AFTER the entropy stage has validated the stream, so a header
 /// claiming absurd extents is rejected before any allocation is attempted)
-/// is non-null.  `planes`, when set, decodes only the leading planes along
-/// axis 0: every prediction reads values that come earlier in index order,
-/// so the SAME walk over the shape with extent(0) = planes reproduces the
-/// first planes * stride(0) values of the full decode bit for bit.
+/// is non-null.  A non-empty `corner` decodes only the box [0, corner[a])
+/// on every axis: every prediction tap reaches back on every axis, so the
+/// SAME walk over the corner's shape reproduces that sub-box of the full
+/// decode bit for bit.  The whole stream is the identity corner.
 template <typename T>
 StreamInfo decompress_core(std::span<const std::uint8_t> stream,
                            std::span<T> fixed_out, std::vector<T>* owned_out,
                            const ExecPolicy& exec,
-                           std::optional<std::size_t> planes = std::nullopt) {
+                           std::span<const std::size_t> corner = {}) {
   const HotPathMode mode = exec.resolved_mode();
   ByteReader in(stream);
   const StreamHeader h = read_header(in);
@@ -179,28 +178,46 @@ StreamInfo decompress_core(std::span<const std::uint8_t> stream,
     throw std::runtime_error("sz14: stream dtype mismatch (use decompress" +
                              std::string(h.dtype == kDtypeF64 ? "64" : "") +
                              ")");
-  Dims walk_dims = h.dims;
-  if (planes) {
-    if (*planes == 0 || *planes > h.dims.extent(0))
+  const std::size_t rank = h.dims.rank();
+  if (!corner.empty() && corner.size() != rank)
+    throw std::invalid_argument("sz14: corner of rank " +
+                                std::to_string(corner.size()) +
+                                " for a rank-" + std::to_string(rank) +
+                                " stream");
+  std::array<std::size_t, kMaxDims> box{};
+  std::copy(h.dims.extents().begin(), h.dims.extents().end(), box.begin());
+  for (std::size_t a = 0; a < corner.size(); ++a) {
+    if (corner[a] == 0 || corner[a] > h.dims.extent(a))
       throw std::invalid_argument(
-          "sz14: prefix of " + std::to_string(*planes) +
-          " planes outside 1.." + std::to_string(h.dims.extent(0)));
-    std::array<std::size_t, kMaxDims> ext{};
-    std::copy(h.dims.extents().begin(), h.dims.extents().end(), ext.begin());
-    ext[0] = *planes;
-    walk_dims = Dims(std::span<const std::size_t>(ext.data(), h.dims.rank()));
+          "sz14: corner extent " + std::to_string(corner[a]) + " on axis " +
+          std::to_string(a) + " outside 1.." +
+          std::to_string(h.dims.extent(a)));
+    box[a] = corner[a];
   }
-  const std::size_t n = walk_dims.count();
+  const Dims want(std::span<const std::size_t>(box.data(), rank));
+  const std::size_t n = want.count();
   if (!owned_out && fixed_out.size() != n)
     throw std::invalid_argument("sz14: output buffer size mismatch");
+  // The decorrelation dither is keyed by the full-layout index, which only
+  // a leading-plane box {c0, full...} keeps: widen the walk to that box and
+  // copy the corner out of it afterwards.
+  if (h.decorrelate)
+    std::copy(h.dims.extents().begin() + 1, h.dims.extents().end(),
+              box.begin() + 1);
+  const Dims walk_dims(std::span<const std::size_t>(box.data(), rank));
+  const bool whole = walk_dims == h.dims;
+  // Stream-order position just past the walk's last point.
+  std::size_t limit = 1;
+  for (std::size_t a = 0; a < rank; ++a)
+    limit += (box[a] - 1) * h.dims.stride(a);
 
   // huffman_decode bounds its symbol count by the actual payload size, and
   // rans_decode by the header's element count, so this also caps the
   // allocation a hostile header can trigger.  The code array is the
   // largest decode-side working buffer; the arena keeps it (and the walk's
   // staging vectors) alive across calls.  The entropy backend is read off
-  // the stream, never off `exec`.  A prefix decode stops Huffman after n
-  // symbols; rANS decodes every code and drops the tail.
+  // the stream, never off `exec`.  A corner decode stops Huffman after the
+  // corner's last code; rANS decodes every code and drops the tail.
   std::vector<std::uint16_t> codes_own;
   std::vector<std::uint16_t>& codes =
       scratch_code_vector_or(exec.scratch, codes_own);
@@ -208,9 +225,9 @@ StreamInfo decompress_core(std::span<const std::uint8_t> stream,
   if (h.rans_entropy) {
     rans_decode_into(in, codes, h.dims.count());
     n_codes = codes.size();
-    codes.resize(std::min(n_codes, n));
+    codes.resize(std::min(n_codes, limit));
   } else {
-    n_codes = huffman_decode_into(in, codes, mode, n);
+    n_codes = huffman_decode_into(in, codes, mode, limit);
   }
   if (n_codes != h.dims.count())
     throw std::runtime_error("sz14: quantization array size mismatch");
@@ -222,14 +239,22 @@ StreamInfo decompress_core(std::span<const std::uint8_t> stream,
     owned_out->resize(n);
     out = std::span<T>(*owned_out);
   }
+  std::vector<T> widened;
+  if (!(walk_dims == want)) widened.resize(walk_dims.count());
 
   const LayerPredictor predictor(walk_dims, h.layers);
   const LinearQuantizer quantizer(h.interval_bits, h.eb_abs, mode);
   const UnpredictableCodecT<T> unpred(h.eb_abs);
   BitReader br(unpred_bytes, mode);
-  detail::pq_decompress_walk<T>(codes, walk_dims, predictor, quantizer,
-                                unpred, h.eb_abs, h.decorrelate, mode, out,
-                                br, exec.scratch);
+  detail::pq_decompress_walk<T>(
+      codes, walk_dims, predictor, quantizer, unpred, h.eb_abs,
+      h.decorrelate, mode, widened.empty() ? out : std::span<T>(widened), br,
+      exec.scratch, whole ? nullptr : &h.dims);
+  if (!widened.empty()) {
+    const std::array<std::size_t, kMaxDims> zero{};
+    copy_subcuboid(widened.data(), walk_dims, {zero.data(), rank},
+                   out.data(), want, {zero.data(), rank}, want.extents());
+  }
   return {h.dims, h.eb_abs};
 }
 
@@ -301,16 +326,18 @@ StreamInfo decompress_into(std::span<const std::uint8_t> stream,
   return decompress_core<double>(stream, out, nullptr, exec);
 }
 
-StreamInfo decompress_prefix_into(std::span<const std::uint8_t> stream,
-                                  std::size_t planes, std::span<float> out,
+StreamInfo decompress_corner_into(std::span<const std::uint8_t> stream,
+                                  std::span<const std::size_t> corner,
+                                  std::span<float> out,
                                   const ExecPolicy& exec) {
-  return decompress_core<float>(stream, out, nullptr, exec, planes);
+  return decompress_core<float>(stream, out, nullptr, exec, corner);
 }
 
-StreamInfo decompress_prefix_into(std::span<const std::uint8_t> stream,
-                                  std::size_t planes, std::span<double> out,
+StreamInfo decompress_corner_into(std::span<const std::uint8_t> stream,
+                                  std::span<const std::size_t> corner,
+                                  std::span<double> out,
                                   const ExecPolicy& exec) {
-  return decompress_core<double>(stream, out, nullptr, exec, planes);
+  return decompress_core<double>(stream, out, nullptr, exec, corner);
 }
 
 }  // namespace sz14

@@ -142,21 +142,25 @@ StreamInfo decompress_into(std::span<const std::uint8_t> stream,
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
                            std::span<double> out, const ExecPolicy& exec);
 
-/// Decode only the leading `planes` slices along axis 0 (the slowest axis)
-/// into `out`, which must hold planes * (product of the other extents)
-/// values.  Prediction reads only values earlier in index order, so the
-/// result equals that prefix of the full decode bit for bit, at a fraction
-/// of the cost: the same walk runs on the shorter shape, Huffman decoding
-/// stops after the prefix's codes (rANS decodes all and drops the tail).
-/// The whole stream is still parsed and checked (the symbol count must
-/// match the header), so a damaged stream fails as in decompress_into().
-/// Throws std::invalid_argument when planes is 0 or exceeds extent(0), or
-/// when out.size() mismatches.  The returned dims are the stream's.
-StreamInfo decompress_prefix_into(std::span<const std::uint8_t> stream,
-                                  std::size_t planes, std::span<float> out,
+/// Decode only the corner box [0, corner[0]) x ... x [0, corner[d-1]) of
+/// the stream's field into `out`, compact and row-major in the corner's own
+/// shape (out.size() == the product of the corner's extents).  Every
+/// prediction tap reaches back on every axis, so the result equals that
+/// sub-box of the full decode bit for bit, at a fraction of the cost: the
+/// walk runs on the corner's shape, and Huffman decoding stops after the
+/// corner's last code (rANS decodes all and drops the tail).  The whole
+/// stream is still parsed and checked (the symbol count must match the
+/// header), so a damaged stream fails as in decompress_into().  Throws
+/// std::invalid_argument when the corner's rank differs from the stream's,
+/// a component is 0 or exceeds its extent, or out.size() mismatches.  The
+/// returned dims are the stream's.
+StreamInfo decompress_corner_into(std::span<const std::uint8_t> stream,
+                                  std::span<const std::size_t> corner,
+                                  std::span<float> out,
                                   const ExecPolicy& exec = {});
-StreamInfo decompress_prefix_into(std::span<const std::uint8_t> stream,
-                                  std::size_t planes, std::span<double> out,
+StreamInfo decompress_corner_into(std::span<const std::uint8_t> stream,
+                                  std::span<const std::size_t> corner,
+                                  std::span<double> out,
                                   const ExecPolicy& exec = {});
 
 /// Intermediate products of the prediction + quantization pass — the shared

@@ -595,13 +595,15 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
 }
 
 template <typename T>
-void pq_decompress_walk(std::span<const std::uint16_t> codes,
-                        const Dims& dims, const LayerPredictor& predictor,
+void pq_decompress_walk(std::span<std::uint16_t> codes, const Dims& dims,
+                        const LayerPredictor& predictor,
                         const LinearQuantizer& quantizer,
                         const UnpredictableCodecT<T>& unpred, double eb,
                         bool decorrelate, HotPathMode mode, std::span<T> out,
-                        BitReader& br, CodecScratch* scratch) {
-  if (mode == HotPathMode::kReference) {
+                        BitReader& br, CodecScratch* scratch,
+                        const Dims* layout) {
+  const bool corner = layout != nullptr && !(*layout == dims);
+  if (mode == HotPathMode::kReference && !corner) {
     DecompressBodyRef<T> body{codes.data(), out.data(), &quantizer, &unpred,
                               &br, eb, decorrelate};
     walk_generic<T>(dims, predictor, body);
@@ -611,11 +613,8 @@ void pq_decompress_walk(std::span<const std::uint16_t> codes,
   // natural row's starting rank so wavefront rows can pull independently.
   // With a scratch arena both staging vectors keep their capacity across
   // calls; they are consumed within this walk, so reuse is invisible.
-  const std::size_t n = codes.size();
+  const std::size_t n = dims.count();
   const std::size_t rank = dims.rank();
-  const std::size_t rowlen =
-      (rank == 2 || rank == 3) ? dims.extent(rank - 1) : n;
-  const std::size_t nrows = rowlen ? n / rowlen : 0;
   std::vector<std::size_t> local_row_rank;
   std::vector<T> local_unpred_vals;
   CodecScratch::Buffers* bufs = scratch ? &scratch->local() : nullptr;
@@ -623,13 +622,54 @@ void pq_decompress_walk(std::span<const std::uint16_t> codes,
       bufs ? bufs->row_ranks() : local_row_rank;
   std::vector<T>& unpred_vals =
       bufs ? bufs->unpredictable_values<T>() : local_unpred_vals;
-  row_rank.assign(nrows ? nrows : 1, 0);
   unpred_vals.clear();
-  std::size_t i = 0;
-  for (std::size_t row = 0; row < nrows; ++row) {
-    row_rank[row] = unpred_vals.size();
-    for (std::size_t c = 0; c < rowlen; ++c, ++i)
-      if (codes[i] == 0) unpred_vals.push_back(unpred.decode(br));
+  if (!corner) {
+    const std::size_t rowlen =
+        (rank == 2 || rank == 3) ? dims.extent(rank - 1) : n;
+    const std::size_t nrows = rowlen ? n / rowlen : 0;
+    row_rank.assign(nrows ? nrows : 1, 0);
+    std::size_t i = 0;
+    for (std::size_t row = 0; row < nrows; ++row) {
+      row_rank[row] = unpred_vals.size();
+      for (std::size_t c = 0; c < rowlen; ++c, ++i)
+        if (codes[i] == 0) unpred_vals.push_back(unpred.decode(br));
+    }
+  } else {
+    // Corner: read the layout's rows (along its fastest axis) in stream
+    // order, since the bitstream is sequential, through the corner's last
+    // row.  A row inside the corner keeps its leading `keep` codes and
+    // their unpredictable values; every other point only consumes its
+    // bits.  The kept codes move down to their compact index, which never
+    // passes the read position, so one forward pass suffices.  Ranks are
+    // recorded per corner row (walks of rank 1 and 4 read only row 0's).
+    const std::size_t row_len = layout->extent(rank - 1);
+    const std::size_t keep = dims.extent(rank - 1);
+    const std::size_t crows = n / keep;
+    row_rank.assign(crows, 0);
+    std::array<std::size_t, kMaxDims> row{};  // coordinates on axes < rank-1
+    std::size_t kept = 0;
+    std::size_t crow = 0;
+    for (std::size_t i = 0; crow < crows; i += row_len) {
+      bool inside = true;
+      for (std::size_t a = 0; a + 1 < rank; ++a)
+        inside = inside && row[a] < dims.extent(a);
+      std::size_t c = 0;
+      if (inside) {
+        row_rank[crow++] = unpred_vals.size();
+        for (; c < keep; ++c) {
+          const std::uint16_t q = codes[i + c];
+          if (q == 0) unpred_vals.push_back(unpred.decode(br));
+          codes[kept++] = q;
+        }
+      }
+      if (crow < crows)  // codes past the corner's last point may be absent
+        for (; c < row_len; ++c)
+          if (codes[i + c] == 0) (void)unpred.decode(br);
+      for (std::size_t a = rank - 1; a-- > 0;) {
+        if (++row[a] < layout->extent(a)) break;
+        row[a] = 0;
+      }
+    }
   }
   const auto radius =
       static_cast<std::int32_t>(quantizer.alphabet_size() / 2);
@@ -653,12 +693,12 @@ template PassCounters pq_compress_walk<double>(
     const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
     HotPathMode, std::span<std::uint16_t>, std::span<double>, BitWriter&);
 template void pq_decompress_walk<float>(
-    std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
+    std::span<std::uint16_t>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<float>&, double, bool,
-    HotPathMode, std::span<float>, BitReader&, CodecScratch*);
+    HotPathMode, std::span<float>, BitReader&, CodecScratch*, const Dims*);
 template void pq_decompress_walk<double>(
-    std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
+    std::span<std::uint16_t>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
-    HotPathMode, std::span<double>, BitReader&, CodecScratch*);
+    HotPathMode, std::span<double>, BitReader&, CodecScratch*, const Dims*);
 
 }  // namespace sz14::detail

@@ -56,13 +56,24 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
 /// into out (out.size() == dims.count() == codes.size()).  `scratch`, when
 /// non-null, supplies the fast path's pre-decoded unpredictable-value and
 /// row-rank buffers (reused across calls, never visible in the output).
+///
+/// With `layout` set, `dims` is a corner of the stream's layout: the box
+/// [0, dims.extent(a)) on every axis.  `codes` then holds the layout's codes
+/// in stream order up to (at least) the corner's last point; the pre-decode
+/// pass keeps only the corner's codes and unpredictable values, compacting
+/// `codes` in place, and the walk runs on `dims` (`predictor` must be built
+/// for `dims`).  Every tap reaches back on every axis, so the corner equals
+/// that sub-box of the full decode — except under decorrelation, whose
+/// dither is keyed by the layout index: callers widen such corners to the
+/// full trailing extents.  Corner walks always take the pre-decoded path.
 template <typename T>
-void pq_decompress_walk(std::span<const std::uint16_t> codes,
-                        const Dims& dims, const LayerPredictor& predictor,
+void pq_decompress_walk(std::span<std::uint16_t> codes, const Dims& dims,
+                        const LayerPredictor& predictor,
                         const LinearQuantizer& quantizer,
                         const UnpredictableCodecT<T>& unpred, double eb,
                         bool decorrelate, HotPathMode mode, std::span<T> out,
-                        BitReader& br, CodecScratch* scratch = nullptr);
+                        BitReader& br, CodecScratch* scratch = nullptr,
+                        const Dims* layout = nullptr);
 
 extern template PassCounters pq_compress_walk<float>(
     std::span<const float>, const Dims&, const LayerPredictor&,
@@ -73,12 +84,12 @@ extern template PassCounters pq_compress_walk<double>(
     const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
     HotPathMode, std::span<std::uint16_t>, std::span<double>, BitWriter&);
 extern template void pq_decompress_walk<float>(
-    std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
+    std::span<std::uint16_t>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<float>&, double, bool,
-    HotPathMode, std::span<float>, BitReader&, CodecScratch*);
+    HotPathMode, std::span<float>, BitReader&, CodecScratch*, const Dims*);
 extern template void pq_decompress_walk<double>(
-    std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
+    std::span<std::uint16_t>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
-    HotPathMode, std::span<double>, BitReader&, CodecScratch*);
+    HotPathMode, std::span<double>, BitReader&, CodecScratch*, const Dims*);
 
 }  // namespace sz14::detail

@@ -1,10 +1,15 @@
-// Leading-plane decode (decompress_prefix_into): for every prefix length k
-// the result must equal the first k * stride(0) values of the full decode
-// bit for bit, across ranks, layers, dtypes, entropy backends, the
-// decorrelation dither and the unpredictable (NaN/Inf/denormal) path; and
-// a malformed stream or prefix length must give a typed error.
+// Corner decode (decompress_corner_into): for every corner c of a stream's
+// shape — the box [0, c_a) on every axis — the result must equal that
+// sub-box of the full decode bit for bit, across ranks 1-4 (1-wide and
+// prime extents), layers, dtypes, entropy backends, the decorrelation
+// dither, the lossless eb = 0 stream and the unpredictable
+// (NaN/Inf/denormal) path; and a malformed stream, corner or buffer must
+// give a typed error.  The leading-plane corners {k, full...} are the
+// former prefix decode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -20,11 +25,20 @@
 namespace sz14 {
 namespace {
 
-/// Smooth field with noise; with `spikes`, NaN, +-Inf, denormals and huge
-/// outliers spread over the whole index range (so some fall inside and
-/// some past any prefix).
 template <typename T>
-std::vector<T> field(std::size_t n, std::uint64_t seed, bool spikes) {
+const T kSpecials[] = {std::numeric_limits<T>::quiet_NaN(),
+                       std::numeric_limits<T>::infinity(),
+                       -std::numeric_limits<T>::infinity(),
+                       std::numeric_limits<T>::denorm_min(),
+                       static_cast<T>(3e7)};
+
+/// Smooth field with noise.  With `spikes`, NaN, +-Inf, denormals and huge
+/// outliers go into the last column of every third row (skipped by every
+/// corner short of the fastest extent, so a compaction that drops their
+/// bits misreads everything after them) and over the whole index range.
+template <typename T>
+std::vector<T> field(const Dims& dims, std::uint64_t seed, bool spikes) {
+  const std::size_t n = dims.count();
   Rng rng(seed);
   std::vector<T> v(n);
   for (std::size_t i = 0; i < n; ++i)
@@ -32,12 +46,11 @@ std::vector<T> field(std::size_t n, std::uint64_t seed, bool spikes) {
                           0.3 * std::cos(0.011 * static_cast<double>(i)) +
                           0.02 * rng.normal());
   if (spikes) {
-    const T specials[] = {std::numeric_limits<T>::quiet_NaN(),
-                          std::numeric_limits<T>::infinity(),
-                          -std::numeric_limits<T>::infinity(),
-                          std::numeric_limits<T>::denorm_min(),
-                          static_cast<T>(3e7)};
-    for (std::size_t k = 0; k < 5; ++k) v[(k * 7 + 1) * n / 37 % n] = specials[k];
+    const std::size_t row = dims.extent(dims.rank() - 1);
+    for (std::size_t r = 0; r * row < n; r += 3)
+      v[r * row + row - 1] = kSpecials<T>[r % 5];
+    for (std::size_t k = 0; k < 5; ++k)
+      v[(k * 7 + 1) * n / 37 % n] = kSpecials<T>[k];
     v[n - 1] = std::numeric_limits<T>::quiet_NaN();
   }
   return v;
@@ -50,22 +63,72 @@ struct Case {
   bool decorrelate;
   bool spikes;
   HotPathMode decode_mode;
+  double eb = 1e-3;
 };
 
 std::string describe(const Case& c) {
   return c.dims.to_string() + " layers=" + std::to_string(c.layers) +
          (c.entropy == EntropyBackend::kRans ? " rans" : " huffman") +
          (c.decorrelate ? " decorrelate" : "") + (c.spikes ? " spikes" : "") +
-         (c.decode_mode == HotPathMode::kReference ? " reference" : "");
+         (c.decode_mode == HotPathMode::kReference ? " reference" : "") +
+         " eb=" + std::to_string(c.eb);
+}
+
+/// Corners to check.  Every corner of a shape with at most kEveryCorner
+/// of them; for a larger shape, every leading-plane corner {k, full...}
+/// plus every corner whose components are drawn from {1, 2, e/2, e-1, e}
+/// on each axis.  `prefixes_only` keeps just the leading-plane corners.
+constexpr std::size_t kEveryCorner = 200;
+
+std::vector<std::vector<std::size_t>> corners(const Dims& dims,
+                                              bool prefixes_only) {
+  const std::size_t rank = dims.rank();
+  std::vector<std::vector<std::size_t>> choices(rank);
+  std::size_t every = 1;
+  for (std::size_t a = 0; a < rank; ++a) every *= dims.extent(a);
+  for (std::size_t a = 0; a < rank; ++a) {
+    const std::size_t e = dims.extent(a);
+    if (prefixes_only)
+      choices[a] = {e};
+    else if (every <= kEveryCorner)
+      for (std::size_t k = 1; k <= e; ++k) choices[a].push_back(k);
+    else
+      for (const std::size_t k : {std::size_t{1}, std::size_t{2}, e / 2,
+                                  e - 1, e})
+        if (k >= 1 && k <= e &&
+            std::find(choices[a].begin(), choices[a].end(), k) ==
+                choices[a].end())
+          choices[a].push_back(k);
+  }
+  std::vector<std::vector<std::size_t>> out;
+  for (std::size_t k = 1; k <= dims.extent(0); ++k) {  // leading planes
+    std::vector<std::size_t> c(dims.extents().begin(), dims.extents().end());
+    c[0] = k;
+    out.push_back(c);
+  }
+  if (prefixes_only) return out;
+  // Odometer over the per-axis choices.
+  std::vector<std::size_t> pick(rank, 0);
+  while (true) {
+    std::vector<std::size_t> c(rank);
+    for (std::size_t a = 0; a < rank; ++a) c[a] = choices[a][pick[a]];
+    if (std::find(out.begin(), out.end(), c) == out.end()) out.push_back(c);
+    std::size_t a = rank;
+    while (a-- > 0) {
+      if (++pick[a] < choices[a].size()) break;
+      pick[a] = 0;
+    }
+    if (a == static_cast<std::size_t>(-1)) return out;
+  }
 }
 
 template <typename T>
-void check_every_prefix(const Case& c) {
+void check_corners(const Case& c, bool prefixes_only = false) {
   SCOPED_TRACE(describe(c) + (sizeof(T) == 8 ? " f64" : " f32"));
-  const auto data = field<T>(c.dims.count(), c.dims.count() * 31 + c.layers,
+  const auto data = field<T>(c.dims, c.dims.count() * 31 + c.layers,
                              c.spikes);
   Options opts;
-  opts.eb_abs = 1e-3;
+  opts.eb_abs = c.eb;
   opts.layers = c.layers;
   opts.decorrelate = c.decorrelate;
   opts.exec.entropy = c.entropy;
@@ -76,14 +139,18 @@ void check_every_prefix(const Case& c) {
   std::vector<T> full(c.dims.count());
   decompress_into(stream, std::span<T>(full), exec);
 
-  const std::size_t slab = c.dims.stride(0);
-  for (std::size_t k = 1; k <= c.dims.extent(0); ++k) {
-    std::vector<T> prefix(k * slab);
+  const std::vector<std::size_t> zero(c.dims.rank(), 0);
+  for (const auto& corner : corners(c.dims, prefixes_only)) {
+    const Dims shape(corner);
+    std::vector<T> want(shape.count());
+    copy_subcuboid(full.data(), c.dims, zero, want.data(), shape, zero,
+                   corner);
+    std::vector<T> got(shape.count());
     const StreamInfo info =
-        decompress_prefix_into(stream, k, std::span<T>(prefix), exec);
+        decompress_corner_into(stream, corner, std::span<T>(got), exec);
     EXPECT_EQ(info.dims, c.dims);
-    ASSERT_EQ(0, std::memcmp(prefix.data(), full.data(), k * slab * sizeof(T)))
-        << "prefix of " << k << " planes differs from the full decode";
+    ASSERT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(T)))
+        << "corner " << shape.to_string() << " differs from the full decode";
   }
 }
 
@@ -96,7 +163,7 @@ const std::vector<Dims>& shapes() {
   return s;
 }
 
-TEST(PrefixDecode, EveryPrefixMatchesFullDecodeBitForBit) {
+TEST(CornerDecode, EveryCornerMatchesFullDecodeBitForBit) {
   for (const Dims& dims : shapes())
     for (unsigned layers = 1; layers <= 3; ++layers)
       for (const auto entropy : {EntropyBackend::kHuffman, EntropyBackend::kRans})
@@ -104,73 +171,141 @@ TEST(PrefixDecode, EveryPrefixMatchesFullDecodeBitForBit) {
           for (const bool spikes : {false, true}) {
             const Case c{dims, layers, entropy, decorrelate, spikes,
                          HotPathMode::kFast};
-            check_every_prefix<float>(c);
-            check_every_prefix<double>(c);
+            check_corners<float>(c);
+            check_corners<double>(c);
           }
 }
 
-TEST(PrefixDecode, ReferenceWalkMatchesToo) {
+TEST(CornerDecode, ReferenceModeMatchesToo) {
+  // Corner decodes take the pre-decoded walk in every mode; the identity
+  // corner keeps the reference walk.  Both must match the full decode.
   for (const Dims& dims : shapes())
-    for (const bool spikes : {false, true}) {
-      const Case c{dims, 2, EntropyBackend::kHuffman, true, spikes,
-                   HotPathMode::kReference};
-      check_every_prefix<float>(c);
-      check_every_prefix<double>(c);
-    }
+    for (const bool decorrelate : {false, true})
+      for (const bool spikes : {false, true}) {
+        const Case c{dims, 2, EntropyBackend::kHuffman, decorrelate, spikes,
+                     HotPathMode::kReference};
+        check_corners<float>(c);
+        check_corners<double>(c);
+      }
 }
 
-TEST(PrefixDecode, LargerBlockAllPrefixes) {
-  // A 64-wide slab exercises the windowed Huffman loop and the wavefront
-  // walk on interior rows.
+TEST(CornerDecode, LosslessStreamEveryCorner) {
+  // eb = 0 makes every point unpredictable: the corner pass consumes and
+  // compacts nothing but raw values.
+  for (const Dims& dims : shapes())
+    for (const auto entropy : {EntropyBackend::kHuffman, EntropyBackend::kRans})
+      for (const bool spikes : {false, true}) {
+        const Case c{dims, 1, entropy, false, spikes, HotPathMode::kFast, 0.0};
+        check_corners<float>(c);
+        check_corners<double>(c);
+      }
+}
+
+TEST(CornerDecode, LargerBlockCorners) {
+  // 64- and 40-wide rows exercise the windowed Huffman loop and the
+  // wavefront walk on interior rows: every leading-plane corner of the
+  // larger block, the leading-plane and lattice corners of the smaller.
   const Case c{Dims{9, 24, 64}, 1, EntropyBackend::kHuffman, false, true,
                HotPathMode::kFast};
-  check_every_prefix<float>(c);
+  check_corners<float>(c, /*prefixes_only=*/true);
+  const Case d{Dims{5, 12, 40}, 2, EntropyBackend::kHuffman, false, true,
+               HotPathMode::kFast};
+  check_corners<float>(d);
+}
+
+TEST(CornerDecode, SkippedColumnSpecialsKeepTheirBits) {
+  // Only the columns a corner skips hold non-finite and denormal values;
+  // the corner's own values must still come back exactly as in the full
+  // decode (their unpredictable bits sit after the skipped ones').
+  const Dims dims{6, 7, 9};
+  std::vector<float> v(dims.count());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = static_cast<float>(std::sin(0.05 * static_cast<double>(i)));
+  for (std::size_t i = 0; i < v.size(); ++i)
+    if (i % 9 >= 5) v[i] = kSpecials<float>[i % 5];
+  for (std::size_t i = 4; i < v.size(); i += 9) v[i] = 1e6f;  // kept spikes
+  Options opts;
+  opts.eb_abs = 1e-3;
+  const auto stream = compress(std::span<const float>(v), dims, opts);
+  const auto full = decompress(stream).data;
+  const std::vector<std::size_t> zero(3, 0);
+  for (const auto& corner :
+       {std::vector<std::size_t>{6, 7, 5}, {3, 4, 5}, {1, 1, 5}, {6, 2, 1}}) {
+    const Dims shape(corner);
+    std::vector<float> want(shape.count());
+    copy_subcuboid(full.data(), dims, zero, want.data(), shape, zero, corner);
+    std::vector<float> got(shape.count());
+    decompress_corner_into(stream, corner, std::span<float>(got));
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * 4))
+        << shape.to_string();
+    for (const float x : got) EXPECT_TRUE(std::isfinite(x));
+  }
 }
 
 std::vector<std::uint8_t> sample_stream(EntropyBackend entropy) {
   const Dims dims{6, 5, 7};
-  const auto data = field<float>(dims.count(), 5, true);
+  const auto data = field<float>(dims, 5, true);
   Options opts;
   opts.eb_abs = 1e-3;
   opts.exec.entropy = entropy;
   return compress(std::span<const float>(data), dims, opts);
 }
 
-TEST(PrefixDecode, PlaneCountOutOfRangeIsInvalidArgument) {
+TEST(CornerDecode, BadCornerOrBufferIsInvalidArgument) {
   const auto stream = sample_stream(EntropyBackend::kHuffman);
-  std::vector<float> out(5 * 7 * 7);
-  EXPECT_THROW(decompress_prefix_into(stream, 0, std::span<float>(out)),
-               std::invalid_argument);
-  EXPECT_THROW(decompress_prefix_into(stream, 7, std::span<float>(out)),
-               std::invalid_argument);
-  // Buffer must hold exactly planes * stride(0) values.
-  EXPECT_THROW(
-      decompress_prefix_into(stream, 2, std::span<float>(out.data(), 69)),
-      std::invalid_argument);
+  std::vector<float> out(6 * 5 * 7);
+  const auto corner_into = [&](std::vector<std::size_t> corner,
+                               std::size_t n) {
+    decompress_corner_into(stream, corner, std::span<float>(out.data(), n));
+  };
+  // A zero or oversized component, on every axis.
+  EXPECT_THROW(corner_into({0, 5, 7}, 0), std::invalid_argument);
+  EXPECT_THROW(corner_into({2, 0, 7}, 0), std::invalid_argument);
+  EXPECT_THROW(corner_into({2, 5, 0}, 0), std::invalid_argument);
+  EXPECT_THROW(corner_into({7, 5, 7}, 245), std::invalid_argument);
+  EXPECT_THROW(corner_into({2, 6, 7}, 84), std::invalid_argument);
+  EXPECT_THROW(corner_into({2, 5, 8}, 80), std::invalid_argument);
+  // The wrong corner rank.
+  EXPECT_THROW(corner_into({2, 5}, 10), std::invalid_argument);
+  EXPECT_THROW(corner_into({2, 5, 7, 1}, 70), std::invalid_argument);
+  // The buffer must hold exactly the corner's values.
+  EXPECT_THROW(corner_into({2, 3, 4}, 23), std::invalid_argument);
+  EXPECT_THROW(corner_into({2, 3, 4}, 25), std::invalid_argument);
+  EXPECT_NO_THROW(corner_into({2, 3, 4}, 24));
+  const std::vector<std::size_t> corner{2, 5, 7};
   std::vector<double> wrong_type(2 * 35);
   EXPECT_THROW(
-      decompress_prefix_into(stream, 2, std::span<double>(wrong_type)),
+      decompress_corner_into(stream, corner, std::span<double>(wrong_type)),
       std::runtime_error);
 }
 
-TEST(PrefixDecode, TruncatedStreamIsRuntimeError) {
+const std::vector<std::vector<std::size_t>>& sample_corners() {
+  static const std::vector<std::vector<std::size_t>> c = {
+      {1, 1, 1}, {2, 3, 4}, {6, 5, 1}, {1, 5, 7}, {6, 5, 7}};
+  return c;
+}
+
+TEST(CornerDecode, TruncatedStreamIsRuntimeError) {
   for (const auto entropy : {EntropyBackend::kHuffman, EntropyBackend::kRans}) {
     const auto stream = sample_stream(entropy);
-    std::vector<float> out(35);
     // The whole stream is still parsed, so cutting even its last byte
-    // (inside the unpredictable section, past any prefix's data) fails.
-    for (std::size_t len = 0; len < stream.size(); ++len)
-      EXPECT_THROW(decompress_prefix_into(
-                       std::span<const std::uint8_t>(stream.data(), len), 1,
-                       std::span<float>(out)),
-                   std::runtime_error)
-          << "length " << len;
+    // (inside the unpredictable section, past any corner's data) fails.
+    for (const auto& corner : sample_corners()) {
+      std::vector<float> out(Dims(corner).count());
+      for (std::size_t len = 0; len < stream.size(); ++len)
+        EXPECT_THROW(decompress_corner_into(
+                         std::span<const std::uint8_t>(stream.data(), len),
+                         corner, std::span<float>(out)),
+                     std::runtime_error)
+            << "length " << len << " corner " << Dims(corner).to_string();
+    }
   }
 }
 
-TEST(PrefixDecode, CorruptHeaderAndSymbolCountAreRuntimeErrors) {
+TEST(CornerDecode, CorruptHeaderAndSymbolCountAreRuntimeErrors) {
   const auto stream = sample_stream(EntropyBackend::kHuffman);
-  std::vector<float> out(35);
+  const std::vector<std::size_t> corner{1, 2, 3};
+  std::vector<float> out(6);
   const auto flipped = [&](std::size_t pos, std::uint8_t mask) {
     auto s = stream;
     s[pos] ^= mask;
@@ -178,41 +313,45 @@ TEST(PrefixDecode, CorruptHeaderAndSymbolCountAreRuntimeErrors) {
   };
   // Magic, version, dtype, flags.
   for (const std::size_t pos : {0u, 4u, 5u, 6u})
-    EXPECT_THROW(decompress_prefix_into(flipped(pos, 0x40), 1,
+    EXPECT_THROW(decompress_corner_into(flipped(pos, 0x40), corner,
                                         std::span<float>(out)),
                  std::runtime_error)
         << "byte " << pos;
 
   // The Huffman symbol count must still equal the header's element count,
-  // even though a prefix decode stops long before the last symbol.
+  // even though a corner decode stops long before the last symbol.
   ByteReader r(stream);
   (void)read_header(r);
   (void)huffman_read_lengths(r);
   const std::size_t count_at = r.position();
   ASSERT_EQ(r.get_varint(), 210u);
-  EXPECT_THROW(decompress_prefix_into(flipped(count_at, 0x01), 1,
+  EXPECT_THROW(decompress_corner_into(flipped(count_at, 0x01), corner,
                                       std::span<float>(out)),
                std::runtime_error);
 }
 
-TEST(PrefixDecode, EveryBitFlipFailsTypedOrDecodes) {
-  // A flip in the entropy payload past the prefix can decode to wrong
+TEST(CornerDecode, EveryBitFlipFailsTypedOrDecodes) {
+  // A flip in the entropy payload past the corner can decode to wrong
   // values without an error (the archive's CRC guards against that); the
   // contract here is that no flip crashes or escapes as an untyped error.
+  // Three corners: a point, an inner box, a full-row box.
+  const auto few = std::span(sample_corners()).first(3);
   for (const auto entropy : {EntropyBackend::kHuffman, EntropyBackend::kRans}) {
     const auto stream = sample_stream(entropy);
-    for (std::size_t pos = 0; pos < stream.size(); ++pos)
-      for (const std::uint8_t mask : {0x01, 0x80}) {
-        auto s = stream;
-        s[pos] ^= mask;
-        std::vector<float> out(2 * 35);
-        try {
-          decompress_prefix_into(s, 2, std::span<float>(out));
-        } catch (const std::runtime_error&) {
-        } catch (const std::invalid_argument&) {
-          // A flipped extent can make the buffer or plane count wrong.
+    for (const auto& corner : few) {
+      std::vector<float> out(Dims(corner).count());
+      for (std::size_t pos = 0; pos < stream.size(); ++pos)
+        for (unsigned bit = 0; bit < 8; ++bit) {
+          auto s = stream;
+          s[pos] ^= static_cast<std::uint8_t>(1u << bit);
+          try {
+            decompress_corner_into(s, corner, std::span<float>(out));
+          } catch (const std::runtime_error&) {
+          } catch (const std::invalid_argument&) {
+            // A flipped extent can make the corner or buffer wrong.
+          }
         }
-      }
+    }
   }
 }
 
