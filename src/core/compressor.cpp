@@ -83,7 +83,7 @@ PassResultT<T> prediction_quantization_pass(std::span<const T> data,
   BitWriter bw(mode);
   const detail::PassCounters counters = detail::pq_compress_walk<T>(
       data, dims, predictor, quantizer, unpred, eb, decorrelate, mode,
-      r.codes, r.reconstructed, bw);
+      r.codes, r.reconstructed, bw, /*count_strict_hits=*/true);
   r.predictable = counters.predictable;
   r.strict_hits = counters.strict_hits;
   r.unpred_bits = std::move(bw).finish();

@@ -1,7 +1,9 @@
 #include "core/kernels.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "core/field_utils.hpp"
@@ -12,13 +14,17 @@ namespace {
 
 // The prediction-quantization walk is latency-bound, not overhead-bound:
 // each point's prediction reads the reconstruction of the immediately
-// preceding point, so the FP chain (predict -> diff -> divide -> round ->
-// reconstruct -> store) serializes at ~25 ns/point regardless of how cheap
-// the surrounding bookkeeping is.  The fast kernels therefore run a
-// WAVEFRONT over kWave interior rows at a 1-column skew: row r+1 trails
+// preceding point, so the FP chain (predict -> diff -> quantize ->
+// reconstruct -> float cast -> next predict) serializes regardless of how
+// cheap the surrounding bookkeeping is.  quantize_exact keeps that chain
+// to multiply -> add -> subtract -> multiply -> add (the divide and the
+// compare-based round leave it, see core/quantizer.hpp): a 1D walk, one
+// chain, measured about 22 ns/point on a 2.1 GHz Xeon VM against about
+// 29 ns/point with them.  The fast kernels run a
+// WAVEFRONT over a few interior rows at a 1-column skew: row r+1 trails
 // row r by one column, which satisfies every stencil dependency (taps
 // reach back <= layers rows, and a row one step behind has already passed
-// the needed column), so kWave independent chains are in flight and the
+// the needed column), so several independent chains are in flight and the
 // core's FP units actually fill up.  Values are bit-identical because each
 // point still sees exactly the same inputs — only the interleaving order
 // changes.
@@ -31,7 +37,16 @@ namespace {
 //    into an array; each row starts at its precomputed rank (count of
 //    unpredictable points before the row), so wavefront rows pull their
 //    own values independently.
-inline constexpr std::size_t kWave = 6;
+//
+// Each fast body sets its wavefront width kWave, and kUnrolled: whether a
+// full group runs the steady loop with the compile-time width, so the j loop
+// unrolls and every row's chain stays in registers.  Both were picked by
+// A/B on the 1D/2D/3D bench fields (2.1 GHz Xeon VM).  Exact compress: 3
+// rows, unrolled — width 3 level with 4 and ahead of 2 and 6, and the
+// unrolled loop ahead of the runtime-bounded one on 2D and 3D.  Decompress,
+// whose chain has no quantize step: 6 rows, runtime-bounded — 3 unrolled
+// and 6 unrolled read 3% and 12% slower on cold served reads.  Turbo
+// compress keeps the 6 runtime-bounded rows it was tuned with.
 
 /// Per-row traversal state: cursor into the pre-decoded unpredictable
 /// values (decompress fast path; unused elsewhere).
@@ -77,79 +92,53 @@ struct CompressBodyRef {
   [[nodiscard]] const T* basis() const noexcept { return recon; }
 };
 
-/// LinearQuantizer::quantize with the quantizer state hoisted into scalars
-/// (two_eb == 2.0 * eb, radius_d == double(radius), radius_i ==
-/// int32(radius)) and the reference-mode rounding branch dropped — the fast
-/// bodies only ever run in HotPathMode::kFast / kTurbo.  With kRecip ==
-/// false the arithmetic is operation-for-operation LinearQuantizer::
-/// quantize, so results stay bit-identical (enforced by
-/// tests/test_kernels.cpp).  With kRecip == true the divide on the serial
-/// prediction chain becomes a reciprocal multiply (inv_2eb == 1 / (2*eb)):
-/// the interval index may round differently near boundaries, but the final
-/// reconstruction check demotes any point whose stored value would violate
-/// the bound, so the stream stays |x - x'| <= eb conformant
-/// (tests/test_conformance.cpp).
-template <typename T, bool kRecip>
-inline QuantResultT<T> quantize_hoisted(T real, double pred, double eb,
-                                        double two_eb, double inv_2eb,
-                                        double radius_d,
-                                        std::int32_t radius_i) {
-  // No eb/isfinite preamble (the fast walks only run with eb > 0, and a
-  // non-finite `real` turns `scaled` into NaN/Inf, which the range check
-  // below rejects — same decision as LinearQuantizer::quantize, two branches
-  // cheaper per point).  All three accept/reject conditions fold into ONE
-  // predicate so the loop carries a single well-predicted branch instead of
-  // four data-dependent early exits; `in_range` zero-substitutes NaN/huge
-  // offsets before the int cast (whose behaviour would otherwise be
-  // undefined), and the unsigned compare is q in (-radius, radius) — both
-  // endpoints excluded: radius would overflow the code byte, -radius would
-  // collide with the unpredictable marker 0.
+/// The turbo (HotPathMode::kTurbo) quantize step, operation for operation
+/// LinearQuantizer::quantize_turbo with the quantizer state hoisted into
+/// `k` and its three accept tests folded into one predicate as in
+/// quantize_exact: the reciprocal multiply and the two-op round may land a
+/// point one interval off near boundaries or ties, but the reconstruction
+/// test demotes any point whose stored value would miss the bound, so the
+/// stream stays |x - x'| <= eb conformant (tests/test_conformance.cpp).
+template <typename T>
+inline QuantResultT<T> quantize_turbo_hoisted(T real, double pred,
+                                              const QuantizerScalars& k) {
   const double diff = static_cast<double>(real) - pred;
-  const double scaled = kRecip ? diff * inv_2eb : diff / two_eb;
-  const bool in_range = std::fabs(scaled) < radius_d;
+  const double scaled = diff * k.inv_2eb;
+  const bool in_range = std::fabs(scaled) < k.radius_d;
   const double safe = in_range ? scaled : 0.0;
-  std::int32_t q;
-  if constexpr (kRecip) {
-    // trunc(x + copysign(0.5, x)) is 2 cheap ops on the serial chain where
-    // the exact compare-based round costs ~5.  It disagrees with
-    // round-half-away only when x + 0.5 rounds across an integer (the
-    // nextafter(0.5)-style ties) — a one-interval shift the reconstruction
-    // guard below keeps bound-conformant, which is all turbo promises.
-    q = static_cast<std::int32_t>(safe + std::copysign(0.5, safe));
-  } else {
-    q = LinearQuantizer::round_half_away(safe);
-  }
-  const auto recon = static_cast<T>(pred + two_eb * q);
+  // trunc(x + copysign(0.5, x)): it disagrees with round-half-away only
+  // when x + 0.5 rounds across an integer (the nextafter(0.5)-style ties).
+  const auto q = static_cast<std::int32_t>(safe + std::copysign(0.5, safe));
+  const auto recon = static_cast<T>(pred + k.two_eb * q);
   const bool ok =
       in_range &
-      (static_cast<std::uint32_t>(q + radius_i - 1) <
-       static_cast<std::uint32_t>(2 * radius_i - 1)) &
+      (static_cast<std::uint32_t>(q + k.radius_i - 1) <
+       static_cast<std::uint32_t>(2 * k.radius_i - 1)) &
       (std::fabs(static_cast<double>(recon) - static_cast<double>(real)) <=
-       eb);
-  if (ok) return {true, static_cast<std::uint16_t>(radius_i + q), recon};
+       k.eb);
+  if (ok) return {true, static_cast<std::uint16_t>(k.radius_i + q), recon};
   return {};
 }
 
 /// Wavefront-safe compress body: reconstructs unpredictable points without
-/// touching the bitstream (emitted in index order after the walk).
-/// kRecip selects the turbo reciprocal-multiply quantization (see above).
+/// touching the bitstream (emitted in index order after the walk), and
+/// counts nothing per point but the optional strict hits — `predictable`
+/// is read off the codes afterwards.  kTurbo selects the turbo quantize
+/// step, otherwise quantize_exact keeps the stream bit-identical to the
+/// reference walk.  kStrictHits counts the Sec. III-B strict-hit statistic
+/// (Table II layer study), which only prediction_quantization_pass reports.
 /// The pointers are __restrict so input loads do not serialize against the
-/// reconstruction stores (data/codes/recon never alias by contract); turbo
-/// additionally skips the Sec. III-B strict-hit statistic — it is advisory
-/// (Table II layer study) and costs a compare-add on every point.
-template <typename T, bool kRecip>
+/// reconstruction stores (data/codes/recon never alias by contract).
+template <typename T, bool kTurbo, bool kStrictHits>
 struct CompressBodyFast {
+  static constexpr std::size_t kWave = kTurbo ? 6 : 3;
+  static constexpr bool kUnrolled = !kTurbo;
   const T* __restrict data;
   std::uint16_t* __restrict codes;
   T* __restrict recon;
   const UnpredictableCodecT<T>* unpred;
-  double eb;
-  double two_eb;
-  double inv_2eb;
-  double radius_d;
-  std::int32_t radius_i;
+  QuantizerScalars k;
   bool decorrelate;
-  std::size_t predictable = 0;
   std::size_t strict_hits = 0;
 
   RowState begin_row(std::size_t) const { return {}; }
@@ -159,16 +148,16 @@ struct CompressBodyFast {
     const double pred = pred_fn();
     // Counted branchlessly: the hit test flips often enough on real data
     // that a conditional increment mispredicts on the hot chain.
-    if constexpr (!kRecip)
+    if constexpr (kStrictHits)
       strict_hits += static_cast<std::size_t>(
-          std::fabs(pred - static_cast<double>(data[i])) <= eb);
-    const double grid_pred = decorrelate ? pred + dither_for(i, eb) : pred;
-    const QuantResultT<T> q = quantize_hoisted<T, kRecip>(
-        data[i], grid_pred, eb, two_eb, inv_2eb, radius_d, radius_i);
+          std::fabs(pred - static_cast<double>(data[i])) <= k.eb);
+    const double grid_pred = decorrelate ? pred + dither_for(i, k.eb) : pred;
+    const QuantResultT<T> q =
+        kTurbo ? quantize_turbo_hoisted<T>(data[i], grid_pred, k)
+               : quantize_exact<T>(data[i], grid_pred, k);
     if (q.predictable) {
       codes[i] = q.code;
       recon[i] = q.reconstructed;
-      ++predictable;
       return q.reconstructed;
     }
     codes[i] = 0;
@@ -209,6 +198,8 @@ struct DecompressBodyRef {
 /// inlined with hoisted scalars like quantize_hoisted above.
 template <typename T>
 struct DecompressBodyFast {
+  static constexpr std::size_t kWave = 6;
+  static constexpr bool kUnrolled = false;
   const std::uint16_t* __restrict codes;
   T* __restrict out;
   double eb;
@@ -369,8 +360,8 @@ wavefront_rows(Body body,  // by value: counters and
                     std::size_t r_first,  // axis coordinate of first row
                     const PredictorTap* taps, std::size_t ntaps) {
   const T* v = body.basis();
-  std::array<RowState, kWave> st;
-  std::array<std::array<std::size_t, kMaxDims>, kWave> prefix{};
+  std::array<RowState, Body::kWave> st;
+  std::array<std::array<std::size_t, kMaxDims>, Body::kWave> prefix{};
   for (std::size_t j = 0; j < g; ++j) {
     st[j] = body.begin_row(row0 + j);
     for (std::size_t a = 0; a + 1 < rank - 1; ++a)
@@ -389,8 +380,7 @@ wavefront_rows(Body body,  // by value: counters and
 
   // Steady state: from step L+g-1 on, every in-flight row sits at an
   // interior column, so the border machinery drops out of the hot loop
-  // entirely.  The j bound stays a runtime value on purpose — a constexpr
-  // bound makes the compiler unroll g long FP chains and spill.
+  // entirely.
   const std::size_t steady_lo = L + g - 1;
   if (steady_lo >= C) {
     for (std::size_t s = 0; s < C + g - 1; ++s) general_step(s);
@@ -402,48 +392,59 @@ wavefront_rows(Body body,  // by value: counters and
   // and reloading it costs a store-to-load forward plus a float->double
   // conversion on the serial chain.  Registers hold the identical value, so
   // results stay bit-for-bit the same.
-  std::array<T, kWave> prev{};
+  std::array<T, Body::kWave> prev{};
   // i = row_base[j] + s replaces the per-point j * row_stride multiply.
-  std::array<std::size_t, kWave> row_base{};
+  std::array<std::size_t, Body::kWave> row_base{};
   if (L == 1 && (rank == 2 || rank == 3)) {
     for (std::size_t j = 0; j < g; ++j) {
       prev[j] = v[base0 + j * row_stride + (steady_lo - 1 - j)];
       row_base[j] = base0 + j * row_stride - j;
     }
   }
-  if (L == 1 && rank == 2) {
-    for (std::size_t s = steady_lo; s < C; ++s) {
-      for (std::size_t j = 0; j < g; ++j) {
-        const std::size_t i = row_base[j] + s;
-        prev[j] = body.point(i, st[j], [&] {
-          return static_cast<double>(prev[j]) +
-                 static_cast<double>(v[i - s0]) -
-                 static_cast<double>(v[i - s0 - 1]);
-        });
+  const auto steady = [&](auto gw) {
+    if (L == 1 && rank == 2) {
+      for (std::size_t s = steady_lo; s < C; ++s) {
+        for (std::size_t j = 0; j < gw; ++j) {
+          const std::size_t i = row_base[j] + s;
+          prev[j] = body.point(i, st[j], [&] {
+            return static_cast<double>(prev[j]) +
+                   static_cast<double>(v[i - s0]) -
+                   static_cast<double>(v[i - s0 - 1]);
+          });
+        }
+      }
+    } else if (L == 1 && rank == 3) {
+      for (std::size_t s = steady_lo; s < C; ++s) {
+        for (std::size_t j = 0; j < gw; ++j) {
+          const std::size_t i = row_base[j] + s;
+          prev[j] = body.point(i, st[j], [&] {
+            return static_cast<double>(prev[j]) +
+                   static_cast<double>(v[i - s1]) -
+                   static_cast<double>(v[i - s1 - 1]) +
+                   static_cast<double>(v[i - s0]) -
+                   static_cast<double>(v[i - s0 - 1]) -
+                   static_cast<double>(v[i - s0 - s1]) +
+                   static_cast<double>(v[i - s0 - s1 - 1]);
+          });
+        }
+      }
+    } else {
+      for (std::size_t s = steady_lo; s < C; ++s) {
+        for (std::size_t j = 0; j < gw; ++j) {
+          const std::size_t i = base0 + j * row_stride + (s - j);
+          body.point(i, st[j], [&] { return tap_predict(v, i, taps, ntaps); });
+        }
       }
     }
-  } else if (L == 1 && rank == 3) {
-    for (std::size_t s = steady_lo; s < C; ++s) {
-      for (std::size_t j = 0; j < g; ++j) {
-        const std::size_t i = row_base[j] + s;
-        prev[j] = body.point(i, st[j], [&] {
-          return static_cast<double>(prev[j]) +
-                 static_cast<double>(v[i - s1]) -
-                 static_cast<double>(v[i - s1 - 1]) +
-                 static_cast<double>(v[i - s0]) -
-                 static_cast<double>(v[i - s0 - 1]) -
-                 static_cast<double>(v[i - s0 - s1]) +
-                 static_cast<double>(v[i - s0 - s1 - 1]);
-        });
-      }
-    }
+  };
+  // A kUnrolled body runs a full group with the compile-time width.
+  if constexpr (Body::kUnrolled) {
+    if (g == Body::kWave)
+      steady(std::integral_constant<std::size_t, Body::kWave>{});
+    else
+      steady(g);
   } else {
-    for (std::size_t s = steady_lo; s < C; ++s) {
-      for (std::size_t j = 0; j < g; ++j) {
-        const std::size_t i = base0 + j * row_stride + (s - j);
-        body.point(i, st[j], [&] { return tap_predict(v, i, taps, ntaps); });
-      }
-    }
+    steady(g);
   }
   for (std::size_t s = C; s < C + g - 1; ++s) general_step(s);
   return body;
@@ -469,7 +470,7 @@ void walk2(const Dims& dims, const LayerPredictor& predictor, Body& body) {
   }
   // Interior rows in wavefront groups.
   for (std::size_t r = rb; r < R;) {
-    const std::size_t g = std::min(kWave, R - r);
+    const std::size_t g = std::min(Body::kWave, R - r);
     body = wavefront_rows<T>(body, predictor, n, C, L, s0, /*s1=*/0,
                              /*rank=*/2, /*row0=*/r, /*base0=*/r * s0,
                              /*row_stride=*/s0, g, /*plane_prefix=*/{},
@@ -504,7 +505,7 @@ void walk3(const Dims& dims, const LayerPredictor& predictor, Body& body) {
     // complete, so only in-plane row dependencies constrain the skew).
     const std::size_t plane_prefix[1] = {p};
     for (std::size_t r = rb; r < R;) {
-      const std::size_t g = std::min(kWave, R - r);
+      const std::size_t g = std::min(Body::kWave, R - r);
       body = wavefront_rows<T>(body, predictor, n, C, L, s0, s1, /*rank=*/3,
                                /*row0=*/p * R + r, /*base0=*/p * s0 + r * s1,
                                /*row_stride=*/s1, g,
@@ -534,6 +535,22 @@ void walk_fast(const Dims& dims, const LayerPredictor& predictor,
   }
 }
 
+/// One fast compress walk; returns the strict-hit count (0 unless
+/// kStrictHits).
+template <typename T, bool kTurbo, bool kStrictHits>
+std::size_t compress_walk_fast(std::span<const T> data, const Dims& dims,
+                               const LayerPredictor& predictor,
+                               const QuantizerScalars& k,
+                               const UnpredictableCodecT<T>& unpred,
+                               bool decorrelate,
+                               std::span<std::uint16_t> codes,
+                               std::span<T> recon) {
+  CompressBodyFast<T, kTurbo, kStrictHits> body{
+      data.data(), codes.data(), recon.data(), &unpred, k, decorrelate};
+  walk_fast<T>(dims, predictor, body);
+  return body.strict_hits;
+}
+
 }  // namespace
 
 template <typename T>
@@ -543,7 +560,8 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
                               const UnpredictableCodecT<T>& unpred, double eb,
                               bool decorrelate, HotPathMode mode,
                               std::span<std::uint16_t> codes,
-                              std::span<T> recon, BitWriter& bw) {
+                              std::span<T> recon, BitWriter& bw,
+                              bool count_strict_hits) {
   // The lossless fallback (eb <= 0) makes every point unpredictable: the
   // wavefront would analyse each point twice (reconstruct in the walk,
   // encode in the emission pass) for zero overlap benefit, so that case
@@ -554,43 +572,28 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
     walk_generic<T>(dims, predictor, body);
     return {body.predictable, body.strict_hits};
   }
-  const auto radius =
-      static_cast<std::int32_t>(quantizer.alphabet_size() / 2);
+  const QuantizerScalars k = quantizer.scalars();
   PassCounters counters;
-  if (mode == HotPathMode::kTurbo) {
-    CompressBodyFast<T, true> body{data.data(),
-                                   codes.data(),
-                                   recon.data(),
-                                   &unpred,
-                                   quantizer.error_bound(),
-                                   2.0 * quantizer.error_bound(),
-                                   quantizer.inv_interval(),
-                                   static_cast<double>(radius),
-                                   radius,
-                                   decorrelate};
-    walk_fast<T>(dims, predictor, body);
-    counters = {body.predictable, body.strict_hits};
-  } else {
-    CompressBodyFast<T, false> body{data.data(),
-                                    codes.data(),
-                                    recon.data(),
-                                    &unpred,
-                                    quantizer.error_bound(),
-                                    2.0 * quantizer.error_bound(),
-                                    quantizer.inv_interval(),
-                                    static_cast<double>(radius),
-                                    radius,
-                                    decorrelate};
-    walk_fast<T>(dims, predictor, body);
-    counters = {body.predictable, body.strict_hits};
-  }
+  if (mode == HotPathMode::kTurbo)
+    counters.strict_hits = compress_walk_fast<T, true, false>(
+        data, dims, predictor, k, unpred, decorrelate, codes, recon);
+  else if (count_strict_hits)
+    counters.strict_hits = compress_walk_fast<T, false, true>(
+        data, dims, predictor, k, unpred, decorrelate, codes, recon);
+  else
+    counters.strict_hits = compress_walk_fast<T, false, false>(
+        data, dims, predictor, k, unpred, decorrelate, codes, recon);
   // Emit the unpredictable bitstream in index order (the wavefront visits
-  // points out of order; bits must not).
-  if (counters.predictable != data.size()) {
-    const std::uint16_t* c = codes.data();
+  // points out of order; bits must not).  `predictable` comes from one
+  // vectorized zero count here rather than a counter bumped on every point
+  // of the walk.
+  const std::uint16_t* c = codes.data();
+  const auto unpredictable =
+      static_cast<std::size_t>(std::count(c, c + data.size(), 0));
+  counters.predictable = data.size() - unpredictable;
+  if (unpredictable != 0)
     for (std::size_t i = 0; i < data.size(); ++i)
       if (c[i] == 0) (void)unpred.encode(data[i], bw);
-  }
   return counters;
 }
 
@@ -687,11 +690,13 @@ void pq_decompress_walk(std::span<std::uint16_t> codes, const Dims& dims,
 template PassCounters pq_compress_walk<float>(
     std::span<const float>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<float>&, double, bool,
-    HotPathMode, std::span<std::uint16_t>, std::span<float>, BitWriter&);
+    HotPathMode, std::span<std::uint16_t>, std::span<float>, BitWriter&,
+    bool);
 template PassCounters pq_compress_walk<double>(
     std::span<const double>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
-    HotPathMode, std::span<std::uint16_t>, std::span<double>, BitWriter&);
+    HotPathMode, std::span<std::uint16_t>, std::span<double>, BitWriter&,
+    bool);
 template void pq_decompress_walk<float>(
     std::span<std::uint16_t>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<float>&, double, bool,

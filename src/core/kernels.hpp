@@ -10,11 +10,15 @@
 // LayerPredictor::predict tap-for-tap, so codes, reconstructions, and
 // unpredictable bitstreams are bit-identical to the generic pass (enforced
 // by tests/test_kernels.cpp); rank-4 shapes and HotPathMode::kReference
-// take the generic walk.  HotPathMode::kTurbo runs the same walks with the
-// divide on the prediction chain replaced by a reciprocal multiply — not
-// bit-identical to the seed stream, but every point stays within the error
-// bound (boundary-straddling points are demoted to unpredictable; enforced
-// by tests/test_conformance.cpp).
+// take the generic walk.  The kFast compress walk quantizes with
+// quantize_exact (core/quantizer.hpp): a reciprocal multiply and an add/
+// subtract round on the prediction chain, with the exact divide and
+// round-half-away re-run only within a hair of a half-interval, so its
+// codes stay those of LinearQuantizer::quantize.  HotPathMode::kTurbo runs
+// the same walks with a plain reciprocal multiply and a two-op round and
+// no exact fallback — not bit-identical to the seed stream, but every
+// point stays within the error bound (boundary-straddling points are
+// demoted to unpredictable; enforced by tests/test_conformance.cpp).
 //
 // The mode is a plain argument: the walks never read process state, so
 // concurrent calls with different modes are independent by construction.
@@ -33,7 +37,8 @@
 namespace sz14::detail {
 
 /// Walk statistics (see PassResultT for the two hit definitions).
-/// strict_hits is not computed by the turbo path (stays 0 there).
+/// The reference walk counts both; the fast walks count strict_hits only
+/// on request and the turbo walk never (it stays 0 then).
 struct PassCounters {
   std::size_t predictable = 0;
   std::size_t strict_hits = 0;
@@ -43,6 +48,8 @@ struct PassCounters {
 /// written in full, so they may be uninitialized on entry) and appends
 /// unpredictable-point bits to bw.  Preconditions (checked by the caller):
 /// data.size() == dims.count() == codes.size() == recon.size().
+/// `count_strict_hits` asks the fast walk for PassCounters::strict_hits,
+/// a compare-add per point that compress() has no use for.
 template <typename T>
 PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
                               const LayerPredictor& predictor,
@@ -50,7 +57,8 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
                               const UnpredictableCodecT<T>& unpred, double eb,
                               bool decorrelate, HotPathMode mode,
                               std::span<std::uint16_t> codes,
-                              std::span<T> recon, BitWriter& bw);
+                              std::span<T> recon, BitWriter& bw,
+                              bool count_strict_hits = false);
 
 /// Decompress-side mirror: consumes codes plus the unpredictable bitstream
 /// into out (out.size() == dims.count() == codes.size()).  `scratch`, when
@@ -78,11 +86,13 @@ void pq_decompress_walk(std::span<std::uint16_t> codes, const Dims& dims,
 extern template PassCounters pq_compress_walk<float>(
     std::span<const float>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<float>&, double, bool,
-    HotPathMode, std::span<std::uint16_t>, std::span<float>, BitWriter&);
+    HotPathMode, std::span<std::uint16_t>, std::span<float>, BitWriter&,
+    bool);
 extern template PassCounters pq_compress_walk<double>(
     std::span<const double>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
-    HotPathMode, std::span<std::uint16_t>, std::span<double>, BitWriter&);
+    HotPathMode, std::span<std::uint16_t>, std::span<double>, BitWriter&,
+    bool);
 extern template void pq_decompress_walk<float>(
     std::span<std::uint16_t>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<float>&, double, bool,

@@ -19,6 +19,19 @@
 
 namespace sz14 {
 
+/// The scalars a quantization decision reads, hoisted by value into the
+/// fast kernels' walk bodies so the per-point loop keeps them in registers.
+struct QuantizerScalars {
+  double eb = 0.0;
+  double two_eb = 0.0;   // 2 * eb
+  double inv_2eb = 0.0;  // 1 / (2 * eb); 0 when eb <= 0
+  double radius_d = 0.0;
+  std::int32_t radius_i = 0;
+  /// 2 * eb and 1 / (2 * eb) are both normal finite doubles, so
+  /// quantize_exact() may multiply by the reciprocal (see its proof).
+  bool multiply = false;
+};
+
 /// Quantization decision for one data point.
 template <typename T>
 struct QuantResultT {
@@ -138,8 +151,16 @@ class LinearQuantizer {
     return 2 * radius_;  // codes 0 .. 2^m - 1
   }
   [[nodiscard]] double error_bound() const noexcept { return eb_; }
-  /// 1 / (2 * eb), precomputed for the turbo kernels (0 when eb <= 0).
-  [[nodiscard]] double inv_interval() const noexcept { return inv_2eb_; }
+  /// This quantizer's state for quantize_exact() and the turbo kernels.
+  [[nodiscard]] QuantizerScalars scalars() const noexcept {
+    const double two_eb = 2.0 * eb_;
+    return {eb_,
+            two_eb,
+            inv_2eb_,
+            static_cast<double>(radius_),
+            static_cast<std::int32_t>(radius_),
+            std::isnormal(two_eb) && std::isnormal(inv_2eb_)};
+  }
 
  private:
   double eb_;
@@ -148,5 +169,69 @@ class LinearQuantizer {
   unsigned bits_ = 0;
   bool legacy_ = false;
 };
+
+/// LinearQuantizer::quantize() for eb > 0, bit for bit, with the divide
+/// and the compare-based round taken off the serial prediction chain — the
+/// fast kernels' quantize step (`k` from LinearQuantizer::scalars()).
+///
+/// The chain becomes multiply -> add -> subtract -> multiply -> add:
+/// x' = fl(diff * fl(1/2eb)) approximates the exact x = fl(diff / 2eb), and
+/// (x' + 1.5*2^52) - 1.5*2^52 rounds x' to the nearest integer qd (ties to
+/// even) for |x'| < 2^51, since the sum lands where the spacing of doubles
+/// is 1 and the subtraction is exact.  qd stays a double on the chain; the
+/// integer code is formed off it.
+///
+/// Why the result equals quantize()'s.  With u = 2^-53 and both 2eb and
+/// 1/2eb normal, fl(1/2eb) = (1/2eb)(1 + d1), x' = (diff/2eb)(1 + d1)(1 + d2)
+/// and x = (diff/2eb)(1 + d3), |di| <= u, so |x' - x| <= 3u|x| (+ O(u^2)),
+/// about 2^-36 for |x| <= 2^15 + 1 — or an absolute 2^-1074-scale error
+/// when the product is subnormal, i.e. near 0.  Take |x' - qd| <= 0.5 -
+/// 2^-20, a margin far wider than that error; then |x - qd| < 0.5, so qd
+/// is x's unique nearest integer, which round-half-away (and llround, in
+/// legacy mode) returns too.  Near-ties — and exact ties, where
+/// ties-to-even and half-away disagree — fail this test and re-run
+/// quantize()'s own divide and round_half_away, as does every point when
+/// the multiply is not safe (k.multiply false: 2eb or 1/2eb subnormal or
+/// infinite).  Past the test, both decisions accept exactly when
+/// |qd| < radius and the stored pred + 2eb*qd meets the bound:
+///  - |qd| <= radius - 1 puts |x'| and |x| below radius - 0.5, so both
+///    range tests pass and q = qd on both sides;
+///  - |qd| >= radius fails the code-range test here, and quantize()
+///    rejects x either on range or on the same q = qd.
+/// So the range tests |x'| < radius and |x| < radius, which can disagree
+/// within 2^-36 of radius, never change the outcome.  NaN and infinite
+/// offsets fail the range test on either path, as in quantize(); for
+/// |x'| >= 2^51 qd is not x''s rounding, but then |qd| >= radius.
+template <typename T>
+[[nodiscard]] inline QuantResultT<T> quantize_exact(T real, double pred,
+                                                    const QuantizerScalars& k) {
+  constexpr double kRound = 0x1.8p52;
+  constexpr double kTieMargin = 0.5 - 0x1p-20;
+  const double diff = static_cast<double>(real) - pred;
+  double scaled = diff * k.inv_2eb;
+  double qd = (scaled + kRound) - kRound;
+  if (!k.multiply || std::fabs(scaled - qd) > kTieMargin) [[unlikely]] {
+    scaled = diff / k.two_eb;
+    // Zero-substituted out of range: the int conversion of a NaN or huge
+    // offset is undefined, and the range test below rejects it anyway.
+    qd = static_cast<double>(LinearQuantizer::round_half_away(
+        std::fabs(scaled) < k.radius_d ? scaled : 0.0));
+  }
+  // One well-predicted branch for all three accept tests (see
+  // LinearQuantizer::quantize): the range test, q in (-radius, radius) —
+  // radius would overflow the code, -radius would collide with the
+  // unpredictable marker 0 — and the bound on the *stored* value.
+  const bool in_range = std::fabs(scaled) < k.radius_d;
+  const auto q = static_cast<std::int32_t>(in_range ? qd : 0.0);
+  const auto recon = static_cast<T>(pred + k.two_eb * qd);
+  const bool ok =
+      in_range &
+      (static_cast<std::uint32_t>(q + k.radius_i - 1) <
+       static_cast<std::uint32_t>(2 * k.radius_i - 1)) &
+      (std::fabs(static_cast<double>(recon) - static_cast<double>(real)) <=
+       k.eb);
+  if (ok) return {true, static_cast<std::uint16_t>(k.radius_i + q), recon};
+  return {};
+}
 
 }  // namespace sz14

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -116,6 +118,90 @@ INSTANTIATE_TEST_SUITE_P(
     BitsByBound, QuantizerBoundSweep,
     ::testing::Combine(::testing::Values(2u, 4u, 6u, 8u, 12u, 16u),
                        ::testing::Values(1e-1, 1e-3, 1e-5)));
+
+// quantize_exact (the fast kernels' quantize step) must equal quantize()
+// decision for decision, bit for bit, exactly where its reciprocal
+// multiply and ties-to-even round are most likely to slip: offsets a few
+// ulps around every half-interval, exact ties, the outermost interval's
+// edge, non-finite and denormal values, and error bounds whose 2*eb or
+// 1/(2*eb) leaves the normal range (the per-call divide fallback).
+template <typename T>
+std::size_t expect_exact_matches(const LinearQuantizer& q, T real,
+                                 double pred) {
+  const auto want = q.quantize<T>(real, pred);
+  const auto got = quantize_exact<T>(real, pred, q.scalars());
+  const bool same =
+      want.predictable == got.predictable && want.code == got.code &&
+      std::memcmp(&want.reconstructed, &got.reconstructed, sizeof(T)) == 0;
+  EXPECT_TRUE(same) << "T=" << (sizeof(T) == 4 ? "f32" : "f64")
+                    << " m=" << q.interval_bits() << " eb=" << q.error_bound()
+                    << " pred=" << pred << " real=" << real << ": code "
+                    << want.code << " vs " << got.code;
+  return same ? 0 : 1;
+}
+
+template <typename T>
+void sweep_exact(unsigned m, double eb, HotPathMode mode) {
+  const LinearQuantizer q(m, eb, mode);
+  const double two_eb = 2.0 * eb;
+  const auto radius = static_cast<double>(q.alphabet_size() / 2);
+  std::vector<double> ks;  // interval offsets whose half-points to probe
+  for (int k = -4; k <= 4; ++k) ks.push_back(k);
+  for (const double r : {radius, -radius})
+    for (const double d : {-3.0, -2.0, -1.0, 0.0, 1.0})
+      ks.push_back(r + d);
+  std::size_t bad = 0;
+  for (const double pred : {0.0, 1.0, -3.25, 1234.5678}) {
+    for (const double k : ks) {
+      // (k + 0.5) is the tie between intervals k and k + 1; k itself is
+      // the radius edge when k == +-radius.
+      for (const double at : {k + 0.5, k}) {
+        const T centre = static_cast<T>(pred + at * two_eb);
+        T up = centre, down = centre;
+        for (int j = 0; j <= 4; ++j) {
+          bad += expect_exact_matches<T>(q, up, pred);
+          bad += expect_exact_matches<T>(q, down, pred);
+          up = std::nextafter(up, std::numeric_limits<T>::infinity());
+          down = std::nextafter(down, -std::numeric_limits<T>::infinity());
+        }
+      }
+    }
+    for (const T v : {std::numeric_limits<T>::quiet_NaN(),
+                      std::numeric_limits<T>::infinity(),
+                      -std::numeric_limits<T>::infinity(),
+                      std::numeric_limits<T>::denorm_min(),
+                      -std::numeric_limits<T>::denorm_min(),
+                      std::numeric_limits<T>::min() / 3, T(0), T(-0.0)})
+      bad += expect_exact_matches<T>(q, v, pred);
+    if (bad > 20) return;  // one broken configuration is enough to read
+  }
+}
+
+TEST(QuantizeExact, MatchesQuantizeAroundTiesEdgesAndNonFinite) {
+  // 1e308: 2*eb overflows.  5e307: 1/(2*eb) is subnormal.  1e-310 and
+  // denorm_min: 2*eb is subnormal and 1/(2*eb) overflows.  0.25 and
+  // 2^-20: exact ties land on representable offsets.
+  const double ebs[] = {1e-300, 1e-200, 1e-100, 1e-30, 1e-10, 1e-3,
+                        0.25,   0x1p-20, 0.1,   1.0,   1e10,  1e100,
+                        1e200,  1e300,  5e307, 1e308, 1e-310,
+                        std::numeric_limits<double>::denorm_min()};
+  for (const unsigned m : {2u, 8u, 16u})
+    for (const double eb : ebs)
+      for (const HotPathMode mode : {HotPathMode::kFast,
+                                     HotPathMode::kReference}) {
+        sweep_exact<float>(m, eb, mode);
+        sweep_exact<double>(m, eb, mode);
+      }
+}
+
+TEST(QuantizeExact, MultiplyFormOnlyForNormalScalars) {
+  EXPECT_TRUE(LinearQuantizer(8, 1e-3).scalars().multiply);
+  EXPECT_TRUE(LinearQuantizer(8, 1e300).scalars().multiply);
+  EXPECT_FALSE(LinearQuantizer(8, 1e308).scalars().multiply);
+  EXPECT_FALSE(LinearQuantizer(8, 5e307).scalars().multiply);
+  EXPECT_FALSE(LinearQuantizer(8, 1e-310).scalars().multiply);
+  EXPECT_FALSE(LinearQuantizer(8, 0.0).scalars().multiply);
+}
 
 }  // namespace
 }  // namespace sz14
