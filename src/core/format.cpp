@@ -1,7 +1,10 @@
 #include "core/format.hpp"
 
 #include <array>
+#include <cmath>
 #include <stdexcept>
+
+#include "core/predictor.hpp"
 
 namespace sz14 {
 
@@ -56,9 +59,20 @@ StreamHeader read_header(ByteReader& in) {
   h.decorrelate = (flags & kFlagDecorrelate) != 0;
   h.rans_entropy = (flags & kFlagRansEntropy) != 0;
   h.dims = read_dims(in);
+  // Checked here, before any entropy decode: a value the quantizer or the
+  // predictor would refuse is a malformed stream, and a NaN, negative or
+  // infinite bound would otherwise decode into garbage without an error.
   h.eb_abs = in.get<double>();
+  if (!std::isfinite(h.eb_abs) || h.eb_abs < 0.0)
+    throw std::runtime_error("sz14: bad error bound in header");
   h.interval_bits = in.get<std::uint8_t>();
+  if (h.interval_bits < 2 || h.interval_bits > 16)
+    throw std::runtime_error("sz14: bad interval bits " +
+                             std::to_string(h.interval_bits));
   h.layers = in.get<std::uint8_t>();
+  if (h.layers == 0 || h.layers > kMaxLayers)
+    throw std::runtime_error("sz14: bad layer count " +
+                             std::to_string(h.layers));
   return h;
 }
 

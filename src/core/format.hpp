@@ -38,7 +38,9 @@ struct StreamHeader {
 
 void write_header(const StreamHeader& h, ByteWriter& out);
 
-/// Throws std::runtime_error on bad magic/version/dtype or malformed dims.
+/// Throws std::runtime_error on bad magic/version/dtype, malformed dims, an
+/// error bound that is not finite and >= 0, interval bits outside [2, 16]
+/// or a layer count outside [1, kMaxLayers].
 StreamHeader read_header(ByteReader& in);
 
 /// Shared shape serialization (rank u8 + extents varint * rank), used by the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -222,6 +223,14 @@ struct DecompressBodyFast {
 
   [[nodiscard]] const T* basis() const noexcept { return out; }
 };
+
+/// Whether any of `len` codes is 0 (an unpredictable point).  No early
+/// exit, so the compiler turns it into a vector OR-reduction.
+inline bool has_zero_code(const std::uint16_t* c, std::size_t len) {
+  unsigned z = 0;
+  for (std::size_t k = 0; k < len; ++k) z |= c[k] == 0;
+  return z != 0;
+}
 
 // --------------------------------------------------------------- walkers
 
@@ -626,16 +635,20 @@ void pq_decompress_walk(std::span<std::uint16_t> codes, const Dims& dims,
   std::vector<T>& unpred_vals =
       bufs ? bufs->unpredictable_values<T>() : local_unpred_vals;
   unpred_vals.clear();
+  // Unpredictable points are rare, so each row first takes a branch-free
+  // any-zero test over its codes (vectorized) and walks them one by one
+  // only when it finds a code 0.
   if (!corner) {
     const std::size_t rowlen =
         (rank == 2 || rank == 3) ? dims.extent(rank - 1) : n;
     const std::size_t nrows = rowlen ? n / rowlen : 0;
     row_rank.assign(nrows ? nrows : 1, 0);
-    std::size_t i = 0;
     for (std::size_t row = 0; row < nrows; ++row) {
       row_rank[row] = unpred_vals.size();
-      for (std::size_t c = 0; c < rowlen; ++c, ++i)
-        if (codes[i] == 0) unpred_vals.push_back(unpred.decode(br));
+      const std::uint16_t* rc = codes.data() + row * rowlen;
+      if (has_zero_code(rc, rowlen))
+        for (std::size_t c = 0; c < rowlen; ++c)
+          if (rc[c] == 0) unpred_vals.push_back(unpred.decode(br));
     }
   } else {
     // Corner: read the layout's rows (along its fastest axis) in stream
@@ -656,18 +669,28 @@ void pq_decompress_walk(std::span<std::uint16_t> codes, const Dims& dims,
       bool inside = true;
       for (std::size_t a = 0; a + 1 < rank; ++a)
         inside = inside && row[a] < dims.extent(a);
+      const std::uint16_t* rc = codes.data() + i;
+      // Codes past the corner's last point may be absent, so the corner's
+      // last row tests and reads only its kept codes.
+      const bool last = inside && crow + 1 == crows;
+      const bool any = has_zero_code(rc, last ? keep : row_len);
       std::size_t c = 0;
       if (inside) {
         row_rank[crow++] = unpred_vals.size();
-        for (; c < keep; ++c) {
-          const std::uint16_t q = codes[i + c];
-          if (q == 0) unpred_vals.push_back(unpred.decode(br));
-          codes[kept++] = q;
+        if (any) {
+          for (; c < keep; ++c) {
+            const std::uint16_t q = rc[c];
+            if (q == 0) unpred_vals.push_back(unpred.decode(br));
+            codes[kept++] = q;
+          }
+        } else {
+          std::memmove(codes.data() + kept, rc, keep * sizeof *rc);
+          kept += keep;
         }
       }
-      if (crow < crows)  // codes past the corner's last point may be absent
+      if (any && !last)
         for (; c < row_len; ++c)
-          if (codes[i + c] == 0) (void)unpred.decode(br);
+          if (rc[c] == 0) (void)unpred.decode(br);
       for (std::size_t a = rank - 1; a-- > 0;) {
         if (++row[a] < layout->extent(a)) break;
         row[a] = 0;

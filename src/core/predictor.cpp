@@ -35,6 +35,9 @@ LayerPredictor::LayerPredictor(const Dims& dims, unsigned layers)
     throw std::invalid_argument("LayerPredictor: layers must be in [1, " +
                                 std::to_string(kMaxLayers) + "]");
   const std::size_t d = dims_.rank();
+  static_assert(kMaxDims <= 4 && kMaxLayers < 0x80,
+                "one byte per axis in the packed border test");
+  for (std::size_t a = 0; a < d; ++a) interior_word_ |= layers << (8 * a);
   // Enumerate k in [0, n]^d \ {0} with an odometer.
   std::array<std::uint32_t, kMaxDims> k{};
   const std::size_t total = [&] {
@@ -50,7 +53,7 @@ LayerPredictor::LayerPredictor(const Dims& dims, unsigned layers)
       k[a] = 0;
     }
     PredictorTap tap;
-    tap.back = k;
+    for (std::size_t a = 0; a < d; ++a) tap.back |= k[a] << (8 * a);
     tap.coeff = coefficient({k.data(), d}, layers);
     std::size_t lin = 0;
     for (std::size_t a = 0; a < d; ++a)

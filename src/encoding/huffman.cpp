@@ -1,6 +1,7 @@
 #include "encoding/huffman.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -116,6 +117,56 @@ void limit_lengths(std::vector<std::uint8_t>& lengths, unsigned max_bits) {
     }
   }
 }
+
+/// Builds HuffmanDecoder's primary table depth-first over code sequences.
+/// visit(e, d, w0, r): every window in [w0, w0 + 2^r) starts with the d
+/// codes whose symbols `e` holds and has r bits left.  Canonical codes of
+/// length <= r, left-aligned to r bits, tile exactly [0, covered[r]) in
+/// code order, so each such code's windows are one child range and the
+/// rest, [covered[r], 2^r), hold no further whole code: they get `e` with
+/// count d.  So does the whole range once d reaches kMaxTableSymbols.
+/// Every window is written once, and the work is one call per code
+/// sequence that fits a window, not a walk along every window.
+struct TableBuilder {
+  struct Code {
+    std::uint32_t code;
+    std::uint16_t sym;
+    std::uint8_t len;  // kMaxHuffmanBits + 1 ends the list
+  };
+  HuffmanEntry* table;
+  unsigned tb;
+  std::vector<Code> codes;  // the codes of <= tb bits, canonical order
+  std::array<std::size_t, HuffmanDecoder::kTableBits + 1> covered{};
+
+  void visit(const HuffmanEntry& e, unsigned d, std::size_t w0,
+             unsigned r) const {
+    std::size_t k = 0;
+    if (d < HuffmanDecoder::kMaxTableSymbols) {
+      const unsigned min_len = codes.front().len;
+      for (const Code* c = codes.data(); c->len <= r; ++c) {
+        HuffmanEntry next = e;
+        next.sym[d] = c->sym;
+        if (d == 0) next.len_count = static_cast<std::uint8_t>(c->len << 4);
+        const std::size_t cw = w0 + (std::size_t{c->code} << (r - c->len));
+        const unsigned cr = r - c->len;
+        if (d + 1 < HuffmanDecoder::kMaxTableSymbols && cr >= min_len)
+          visit(next, d + 1, cw, cr);
+        else  // a leaf: no further code fits, or the entry is full
+          fill(next, d + 1, cw, 0, cr);
+      }
+      k = covered[r];
+    }
+    fill(e, d, w0, k, r);
+  }
+
+  /// Windows [w0 + k, w0 + 2^r) hold the d codes in `e` and no more.
+  void fill(HuffmanEntry e, unsigned d, std::size_t w0, std::size_t k,
+            unsigned r) const {
+    e.bits = static_cast<std::uint8_t>(tb - r);
+    e.len_count = static_cast<std::uint8_t>((e.len_count & 0xF0u) | d);
+    std::fill(table + w0 + k, table + w0 + (std::size_t{1} << r), e);
+  }
+};
 
 }  // namespace
 
@@ -415,61 +466,33 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
     ++fill[l];
   }
 
-  // Primary lookup table, pass 1 (single symbol): every kTableBits-wide
-  // window whose prefix is a code of length l <= kTableBits maps to an
-  // entry carrying (symbol, l); windows whose prefix belongs to a longer
-  // code keep entry 0 and take the scan path.
-  static_assert(kTableBits <= 15, "len/total fields are 4 bits wide");
-  static_assert(kMaxTableSymbols <= 3, "three 16-bit symbol slots");
+  // Primary lookup table: a depth-first walk over the code sequences that
+  // fit a kTableBits-wide window (see TableBuilder).
+  static_assert(kTableBits <= 15, "length nibbles are 4 bits wide");
+  static_assert(kMaxTableSymbols + 1 == kEntrySlots,
+                "seven 16-bit symbol slots and a length slot");
   if (max_len_ == 0) return;
   table_bits_ = std::min(max_len_, kTableBits);
-  table_.assign(std::size_t{1} << table_bits_, 0);
-  const auto codes = huffman_canonical_codes(lengths);
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    const unsigned l = lengths[s];
-    if (!l || l > table_bits_) continue;
-    const std::size_t base = static_cast<std::size_t>(codes[s])
-                             << (table_bits_ - l);
-    const std::size_t span = std::size_t{1} << (table_bits_ - l);
-    const std::uint64_t entry = (static_cast<std::uint64_t>(s) << 16) |
-                                (std::uint64_t{l} << 4) | l;
-    for (std::size_t w = 0; w < span; ++w) table_[base + w] = entry;
-  }
-
-  // Pass 2 (multi-symbol): chain table lookups inside each window.  After
-  // consuming `pos` bits, the remaining window bits are re-looked-up with
-  // the unknown low bits zero-filled; the chained entry is only trusted
-  // when its first code fits entirely inside the known `table_bits_ - pos`
-  // bits, so every packed symbol is determined by window bits alone.  The
-  // in-place update is safe because extended entries preserve the len0
-  // (bits 0..3) and sym0 (bits 16..31) fields pass 2 reads.
-  const std::size_t mask = (std::size_t{1} << table_bits_) - 1;
-  for (std::size_t w = 0; w < table_.size(); ++w) {
-    const std::uint64_t e0 = table_[w];
-    unsigned pos = static_cast<unsigned>(e0 & 0xFu);
-    if (pos == 0) continue;  // fallback window
-    std::uint64_t entry = e0 & ~std::uint64_t{0xFF0};  // keep len0 + sym0
-    unsigned cnt = 1;
-    while (cnt < kMaxTableSymbols && pos < table_bits_) {
-      const std::uint64_t next = table_[(w << pos) & mask];
-      const unsigned l = static_cast<unsigned>(next & 0xFu);
-      if (l == 0 || l > table_bits_ - pos) break;
-      entry |= ((next >> 16) & 0xFFFFu) << (16 * (cnt + 1));
-      pos += l;
-      ++cnt;
-    }
-    table_[w] = entry | (std::uint64_t{pos} << 4) |
-                (std::uint64_t{cnt - 1} << 8);
-  }
+  table_.resize(std::size_t{1} << table_bits_);
+  TableBuilder b{table_.data(), table_bits_, {}, {}};
+  for (unsigned l = 1; l <= table_bits_; ++l)
+    for (std::uint32_t i = 0; i < count_[l]; ++i)
+      b.codes.push_back({first_code_[l] + i, sorted_[offset_[l] + i],
+                         static_cast<std::uint8_t>(l)});
+  b.codes.push_back({0, 0, kMaxHuffmanBits + 1});
+  for (unsigned r = 1; r <= table_bits_; ++r)
+    for (unsigned l = 1; l <= r; ++l)
+      b.covered[r] += static_cast<std::size_t>(count_[l]) << (r - l);
+  b.visit(HuffmanEntry{}, 0, 0, table_bits_);
 }
 
 std::uint16_t HuffmanDecoder::decode(BitReader& br) const {
   if (max_len_ == 0)
     throw std::runtime_error("HuffmanDecoder: empty code table");
-  const std::uint64_t e = table_[br.peek(table_bits_)];
-  if (const unsigned len = static_cast<unsigned>(e & 0xFu); len != 0) {
+  const HuffmanEntry& e = table_[br.peek(table_bits_)];
+  if (const unsigned len = e.len_count >> 4; len != 0) {
     br.skip(len);
-    return static_cast<std::uint16_t>(e >> 16);
+    return e.sym[0];
   }
   return decode_bitwise(br);
 }
@@ -519,14 +542,17 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
     return;
   }
   // Multi-symbol fast loop: one table entry emits up to kMaxTableSymbols
-  // symbols.  The i + kMaxTableSymbols <= n guard means at least
-  // that many real symbols remain, so the prefix-determined chain in the
-  // entry can never cross into the stream's zero padding; all three slots
-  // are stored unconditionally (overwritten by later iterations when
-  // cnt < 3) and skip() still bounds-checks the consumed bits, so corrupt
-  // payloads throw instead of overreading.
-  const std::uint64_t* table = dec.table();
+  // symbols with one kEntrySlots-wide store, then i advances by its count.
+  // The i + kEntrySlots <= n guard keeps the store inside `out` and means
+  // more real symbols remain than an entry can hold, so the
+  // prefix-determined chain in the entry can never cross into the stream's
+  // zero padding; the slots past the count are overwritten by later
+  // iterations or the tail loop, and skip() still bounds-checks the
+  // consumed bits, so corrupt payloads throw instead of overreading.
+  constexpr std::size_t kSlots = HuffmanDecoder::kEntrySlots;
+  const HuffmanEntry* table = dec.table();
   const unsigned table_bits = dec.table_bits();
+  std::uint16_t* dst = out.data();
   std::size_t i = 0;
 
   // Windowed refill: away from the payload tail, hoist BitReader::peek's
@@ -540,7 +566,7 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
   if (payload.size() >= 8) {
     const std::uint8_t* base = payload.data();
     const std::size_t last_start = payload.size() - 8;
-    while (i + HuffmanDecoder::kMaxTableSymbols <= n) {
+    while (i + kSlots <= n) {
       const std::uint64_t p0 = br.bit_position();
       const std::size_t byte = static_cast<std::size_t>(p0 >> 3);
       if (byte > last_start) break;
@@ -548,36 +574,29 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
       std::memcpy(&w, base + byte, 8);
       w = load_bswap64(w) << (p0 & 7);
       unsigned used = 0;
-      while (used + table_bits <= 57 &&
-             i + HuffmanDecoder::kMaxTableSymbols <= n) {
-        const std::uint64_t e = table[(w << used) >> (64u - table_bits)];
-        const auto adv = static_cast<unsigned>((e >> 4) & 0xFu);
-        if (adv == 0) break;  // first code longer than the table window
-        out[i] = static_cast<std::uint16_t>(e >> 16);
-        out[i + 1] = static_cast<std::uint16_t>(e >> 32);
-        out[i + 2] = static_cast<std::uint16_t>(e >> 48);
-        i += static_cast<std::size_t>((e >> 8) & 0x3u) + 1;
-        used += adv;
+      while (used + table_bits <= 57 && i + kSlots <= n) {
+        const HuffmanEntry& e = table[(w << used) >> (64u - table_bits)];
+        if (e.bits == 0) break;  // first code longer than the table window
+        std::memcpy(dst + i, &e, sizeof e);
+        i += e.len_count & 0xFu;
+        used += e.bits;
       }
       br.skip(used);
-      if (used + table_bits <= 57 &&
-          i + HuffmanDecoder::kMaxTableSymbols <= n)
-        out[i++] = dec.decode_bitwise(br);
+      if (used + table_bits <= 57 && i + kSlots <= n)
+        dst[i++] = dec.decode_bitwise(br);
     }
   }
-  while (i + HuffmanDecoder::kMaxTableSymbols <= n) {
-    const std::uint64_t e = table[br.peek(table_bits)];
-    if ((e & 0xFu) == 0) {  // first code longer than the window
-      out[i++] = dec.decode_bitwise(br);
+  while (i + kSlots <= n) {
+    const HuffmanEntry& e = table[br.peek(table_bits)];
+    if (e.bits == 0) {  // first code longer than the window
+      dst[i++] = dec.decode_bitwise(br);
       continue;
     }
-    out[i] = static_cast<std::uint16_t>(e >> 16);
-    out[i + 1] = static_cast<std::uint16_t>(e >> 32);
-    out[i + 2] = static_cast<std::uint16_t>(e >> 48);
-    i += static_cast<std::size_t>((e >> 8) & 0x3u) + 1;
-    br.skip(static_cast<unsigned>((e >> 4) & 0xFu));
+    std::memcpy(dst + i, &e, sizeof e);
+    i += e.len_count & 0xFu;
+    br.skip(e.bits);
   }
-  for (; i < n; ++i) out[i] = dec.decode(br);
+  for (; i < n; ++i) dst[i] = dec.decode(br);
 }
 
 std::vector<std::uint16_t> huffman_decode_payload(

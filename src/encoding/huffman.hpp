@@ -120,18 +120,33 @@ void huffman_decode_payload_into(const class HuffmanDecoder& dec,
                                  HotPathMode mode = HotPathMode::kFast,
                                  std::size_t limit = SIZE_MAX);
 
+/// One primary-table entry: the symbols of up to kMaxTableSymbols codes
+/// that lie whole inside one kTableBits-wide window, in stream order.  It
+/// is 16 bytes so the batch decode loop copies it out with one 16-byte
+/// store and then advances by `count` slots; the slots past `count` (and
+/// the two length bytes, which land in an eighth slot) are overwritten by
+/// the next store.
+///   sym[0..6]   symbols; only the first `count` are meaningful
+///   bits        total bits of all `count` codes; 0 = the window's first
+///               code is longer than kTableBits (take the canonical scan)
+///   len_count   high nibble: length of the first code (what decode()
+///               consumes); low nibble: count, 1..kMaxTableSymbols
+/// On serve-cold hurricane blocks codes average 1.9 bits, so an 11-bit
+/// window holds 5-6 of them.
+struct alignas(16) HuffmanEntry {
+  std::uint16_t sym[7];
+  std::uint8_t bits;
+  std::uint8_t len_count;
+};
+static_assert(sizeof(HuffmanEntry) == 16);
+
 /// Decoder table reusable across blocks.  decode() consults a primary
 /// kTableBits-wide prefix lookup table (one peek resolves any code of up to
 /// kTableBits bits); longer codes fall back to the canonical first-code
 /// scan, which decode_bitwise() also exposes directly as the reference
-/// implementation for equivalence tests.
-///
-/// Each primary-table entry is *multi-symbol*: when up to kMaxTableSymbols
-/// concatenated codes fit inside the kTableBits window, the entry carries
-/// all of them plus the total bit length, so the payload decode loop emits
-/// several symbols per peek.  Quantization-code streams are heavily skewed
-/// toward the zero-offset symbol (short codes), making 2-3-symbol entries
-/// the common case.
+/// implementation for equivalence tests.  Each primary-table entry is
+/// multi-symbol (HuffmanEntry above), so the payload decode loop emits
+/// several symbols per lookup.
 class HuffmanDecoder {
  public:
   /// Build from per-symbol code lengths.
@@ -149,21 +164,20 @@ class HuffmanDecoder {
   [[nodiscard]] unsigned min_length() const noexcept { return min_len_; }
   [[nodiscard]] unsigned max_length() const noexcept { return max_len_; }
 
-  /// Raw multi-symbol primary table, for the batch payload decode loop.
-  /// Entry layout (0 = no complete code in the window, take the scan path):
-  ///   bits  0..3   length of the first code (what decode() consumes)
-  ///   bits  4..7   total bits consumed by all packed symbols
-  ///   bits  8..9   symbol count - 1 (1..kMaxTableSymbols symbols)
-  ///   bits 16..31  symbol 0;  32..47  symbol 1;  48..63  symbol 2
-  [[nodiscard]] const std::uint64_t* table() const noexcept {
+  /// Primary table of 2^table_bits() entries, for the batch payload decode.
+  [[nodiscard]] const HuffmanEntry* table() const noexcept {
     return table_.data();
   }
   [[nodiscard]] unsigned table_bits() const noexcept { return table_bits_; }
 
-  /// Width of the primary lookup table in bits.
+  /// Width of the primary lookup table in bits.  The table is rebuilt for
+  /// every block decode, so it stays at 2048 entries (32 KiB).
   static constexpr unsigned kTableBits = 11;
   /// Maximum symbols packed into one primary-table entry.
-  static constexpr unsigned kMaxTableSymbols = 3;
+  static constexpr unsigned kMaxTableSymbols = 7;
+  /// uint16 slots one whole-entry store writes (kMaxTableSymbols + 1).
+  static constexpr std::size_t kEntrySlots =
+      sizeof(HuffmanEntry) / sizeof(std::uint16_t);
 
  private:
   // first_code_[l] = canonical code value of the first length-l symbol,
@@ -172,9 +186,7 @@ class HuffmanDecoder {
   std::vector<std::uint32_t> count_;
   std::vector<std::uint32_t> offset_;
   std::vector<std::uint16_t> sorted_;
-  // Primary multi-symbol table (layout above); entry 0 marks "first code
-  // longer than table_bits_" (fall back to the canonical scan).
-  std::vector<std::uint64_t> table_;
+  std::vector<HuffmanEntry> table_;
   unsigned table_bits_ = 0;
   unsigned max_len_ = 0;
   unsigned min_len_ = 0;

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bitstream.hpp"
@@ -299,11 +304,11 @@ TEST(HuffmanMultiSymbol, PayloadDecodeMatchesBitwiseOnRandomTables) {
   }
 }
 
-TEST(HuffmanMultiSymbol, ShortCodesChainUpToThreePerLookup) {
+TEST(HuffmanMultiSymbol, ShortCodesChainPerLookup) {
   // A heavily skewed 1-bit-dominated table makes nearly every 11-bit
-  // window start a 3-symbol chain — the multi-symbol fast path's best
-  // case.  Correctness must hold through long runs and at the tail where
-  // fewer than kMaxTableSymbols symbols remain.
+  // window a long chain — the multi-symbol fast path's best case.
+  // Correctness must hold through long runs and at the tail where fewer
+  // than kMaxTableSymbols symbols remain.
   std::vector<std::uint64_t> freqs = {1000, 500, 250, 125};
   const auto lens = huffman_code_lengths(freqs);
   const auto codes = huffman_canonical_codes(lens);
@@ -348,6 +353,202 @@ TEST(HuffmanMultiSymbol, MixedShortAndFallbackCodes) {
   huffman_append_payload(message, packed, payload);
   const HuffmanDecoder dec(lens);
   EXPECT_EQ(huffman_decode_payload(dec, payload, message.size()), message);
+}
+
+// --- wide (7-symbol) table entries ------------------------------------
+
+std::vector<std::uint16_t> decode_bitwise_n(const HuffmanDecoder& dec,
+                                            std::span<const std::uint8_t> bytes,
+                                            std::size_t n) {
+  BitReader br(bytes);
+  std::vector<std::uint16_t> out(n);
+  for (auto& s : out) s = dec.decode_bitwise(br);
+  return out;
+}
+
+/// Every primary-table entry against a greedy bitwise parse of its window:
+/// as many whole codes as fit the window, at most kMaxTableSymbols.
+/// Returns the longest chain seen.
+std::size_t check_table_entries(std::span<const std::uint8_t> lens) {
+  const HuffmanDecoder dec(lens);
+  const unsigned tb = dec.table_bits();
+  EXPECT_LE(tb, HuffmanDecoder::kTableBits);
+  std::size_t longest = 0;
+  for (std::uint32_t w = 0; w < (1u << tb); ++w) {
+    BitWriter bw;
+    bw.put(w, tb);
+    bw.put(0, 32);
+    bw.put(0, 32);
+    const auto bytes = std::move(bw).finish();
+    BitReader br(bytes);
+    std::vector<std::uint16_t> syms;
+    std::vector<unsigned> ends;
+    while (syms.size() < HuffmanDecoder::kMaxTableSymbols) {
+      std::uint16_t s = 0;
+      try {
+        s = dec.decode_bitwise(br);
+      } catch (const std::runtime_error&) {
+        break;  // incomplete code: no codeword starts here
+      }
+      if (br.bit_position() > tb) break;
+      syms.push_back(s);
+      ends.push_back(static_cast<unsigned>(br.bit_position()));
+    }
+    const HuffmanEntry& e = dec.table()[w];
+    const unsigned count = e.len_count & 0xFu;
+    if (syms.empty()) {
+      EXPECT_EQ(e.bits, 0u) << "window " << w;
+      EXPECT_EQ(e.len_count >> 4, 0u) << "window " << w;
+      continue;
+    }
+    longest = std::max(longest, syms.size());
+    EXPECT_EQ(count, syms.size()) << "window " << w;
+    EXPECT_EQ(e.bits, ends.back()) << "window " << w;
+    EXPECT_EQ(e.len_count >> 4, ends.front()) << "window " << w;
+    for (std::size_t k = 0; k < std::min<std::size_t>(count, syms.size()); ++k)
+      EXPECT_EQ(e.sym[k], syms[k]) << "window " << w << " slot " << k;
+    if (::testing::Test::HasFailure()) return longest;
+  }
+  return longest;
+}
+
+/// Encode `message`, then decode it with every limit from 0 to n (and the
+/// unlimited decode): each must equal the bitwise decode's prefix.
+void check_every_limit(std::span<const std::uint8_t> lens,
+                       const std::vector<std::uint16_t>& message) {
+  const auto packed = huffman_pack_codes(lens, huffman_canonical_codes(lens));
+  std::vector<std::uint8_t> payload;
+  huffman_append_payload(message, packed, payload);
+  const HuffmanDecoder dec(lens);
+  const std::size_t n = message.size();
+  ASSERT_EQ(decode_bitwise_n(dec, payload, n), message);
+  std::vector<std::uint16_t> got;
+  for (std::size_t limit = 0; limit <= n; ++limit) {
+    got.assign(limit + 9, 0xABCD);  // stale contents must not leak through
+    huffman_decode_payload_into(dec, payload, n, got, HotPathMode::kFast,
+                                limit);
+    ASSERT_EQ(got.size(), limit);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), message.begin()))
+        << "n=" << n << " limit=" << limit;
+  }
+  EXPECT_EQ(huffman_decode_payload(dec, payload, n), message) << "n=" << n;
+}
+
+/// Skewed message: symbol 0 with probability 1 - 2^-skew, otherwise
+/// uniform over the rest of the alphabet.
+std::vector<std::uint16_t> skewed_message(std::size_t n, std::size_t alphabet,
+                                          unsigned skew, Rng& rng) {
+  std::vector<std::uint16_t> m(n);
+  for (auto& s : m)
+    s = rng.below(std::uint64_t{1} << skew) != 0
+            ? 0
+            : static_cast<std::uint16_t>(1 + rng.below(alphabet - 1));
+  return m;
+}
+
+TEST(HuffmanWideEntries, TableEntriesMatchGreedyBitwiseParse) {
+  // Skewed tables whose windows hold 4-7 codes, flat tables, a table with
+  // codes of exactly kTableBits bits and longer, and an incomplete code.
+  std::vector<std::vector<std::uint8_t>> tables;
+  tables.push_back({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 11});
+  tables.push_back({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 13});
+  tables.push_back({1, 1});
+  tables.push_back({2, 2, 2, 2});
+  tables.push_back({1, 3, 3});  // incomplete: 11x starts no code
+  for (const std::size_t alphabet :
+       {std::size_t{2}, std::size_t{256}, std::size_t{65536}}) {
+    std::vector<std::uint64_t> freqs(alphabet, 1);
+    freqs[0] = std::uint64_t{1} << 40;  // 1-bit centre code
+    if (alphabet > 2) freqs[1] = freqs[2] = std::uint64_t{1} << 36;
+    tables.push_back(huffman_code_lengths(freqs));
+  }
+  {  // quantization-like: geometric around a centre symbol
+    std::vector<std::uint64_t> freqs(256, 1);
+    for (int d = -12; d <= 12; ++d)
+      freqs[static_cast<std::size_t>(128 + d)] =
+          std::uint64_t{1} << (30 - 2 * std::abs(d));
+    tables.push_back(huffman_code_lengths(freqs));
+  }
+  std::size_t longest = 0;
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    SCOPED_TRACE("table " + std::to_string(t));
+    longest = std::max(longest, check_table_entries(tables[t]));
+  }
+  EXPECT_EQ(longest, HuffmanDecoder::kMaxTableSymbols);
+}
+
+TEST(HuffmanWideEntries, EveryLimitMatchesBitwiseOnSkewedStreams) {
+  // 1-4 bit codes dominate, so windows chain 4-7 codes; every tail position
+  // around the kEntrySlots-wide store guard is a limit somewhere here.
+  Rng rng(2024);
+  for (const std::size_t alphabet :
+       {std::size_t{2}, std::size_t{256}, std::size_t{65536}}) {
+    for (const unsigned skew : {1u, 2u, 4u, 6u}) {
+      std::vector<std::uint64_t> freqs(alphabet, 0);
+      const auto sample = skewed_message(4096, alphabet, skew, rng);
+      for (const auto s : sample) ++freqs[s];
+      const auto lens = huffman_code_lengths(freqs);
+      for (const std::size_t n :
+           {std::size_t{0}, std::size_t{1}, std::size_t{6}, std::size_t{7},
+            std::size_t{8}, std::size_t{9}, std::size_t{15}, std::size_t{16},
+            std::size_t{17}, std::size_t{63}, std::size_t{300}}) {
+        SCOPED_TRACE("alphabet " + std::to_string(alphabet) + " skew " +
+                     std::to_string(skew) + " n " + std::to_string(n));
+        std::vector<std::uint16_t> m;
+        for (const auto s : skewed_message(n, alphabet, skew, rng))
+          if (lens[s]) m.push_back(s);
+        check_every_limit(lens, m);
+      }
+    }
+  }
+}
+
+TEST(HuffmanWideEntries, EveryLimitWithElevenBitAndLongerCodes) {
+  // Codes of exactly kTableBits bits fill a window alone; 12- and 13-bit
+  // codes take the canonical scan between wide entries.
+  const std::vector<std::uint8_t> lens = {1, 2, 3, 4,  5,  6,  7,
+                                          8, 9, 10, 11, 12, 13, 13};
+  Rng rng(11);
+  for (const std::size_t n : {std::size_t{5}, std::size_t{8},
+                              std::size_t{9}, std::size_t{400}}) {
+    std::vector<std::uint16_t> m(n);
+    for (auto& s : m) {
+      const auto r = rng.below(8);
+      s = static_cast<std::uint16_t>(r < 5 ? 0 : rng.below(lens.size()));
+    }
+    check_every_limit(lens, m);
+  }
+  // Nothing but 11-bit codes: one symbol per entry, every window full.
+  std::vector<std::uint8_t> flat(2048, 11);
+  std::vector<std::uint16_t> m(200);
+  for (auto& s : m) s = static_cast<std::uint16_t>(rng.below(2048));
+  check_every_limit(flat, m);
+}
+
+TEST(HuffmanWideEntries, StreamLevelLimitOnLargeAlphabets) {
+  // huffman_encode / huffman_decode_into with a limit, alphabets 2, 256
+  // and 65536: the declared count comes back and the prefix matches.
+  Rng rng(99);
+  for (const std::size_t alphabet :
+       {std::size_t{2}, std::size_t{256}, std::size_t{65536}}) {
+    const auto m = skewed_message(5000, alphabet, 3, rng);
+    ByteWriter w;
+    huffman_encode(m, alphabet, w);
+    const auto bytes = std::move(w).take();
+    for (const std::size_t limit :
+         {std::size_t{0}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+          std::size_t{4991}, std::size_t{4992}, std::size_t{4993},
+          std::size_t{5000}, SIZE_MAX}) {
+      ByteReader r(bytes);
+      std::vector<std::uint16_t> got;
+      EXPECT_EQ(huffman_decode_into(r, got, HotPathMode::kFast, limit),
+                m.size());
+      const std::size_t k = std::min(limit, m.size());
+      ASSERT_EQ(got.size(), k);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), m.begin()))
+          << "alphabet " << alphabet << " limit " << limit;
+    }
+  }
 }
 
 TEST(HuffmanFastDecode, OversubscribedLengthTableRejected) {

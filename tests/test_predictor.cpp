@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -203,6 +205,76 @@ TEST(Predictor, InteriorFlagIsExact) {
     EXPECT_EQ(p.interior(c), c[0] >= 2 && c[1] >= 2);
     w.advance();
   }
+}
+
+/// predict() written out naively: enumerate k in [0, n]^d \ {0} in the
+/// predictor's tap order (fastest axis last), test every axis for
+/// containment, accumulate the in-domain taps from 0.0.
+template <typename T>
+double naive_predict(const std::vector<T>& v, const Dims& dims,
+                     unsigned layers, const std::size_t* coord,
+                     std::size_t idx) {
+  const std::size_t d = dims.rank();
+  std::uint32_t k[kMaxDims] = {};
+  double acc = 0.0;
+  while (true) {
+    std::size_t a = d;
+    while (a-- > 0) {
+      if (++k[a] <= layers) break;
+      k[a] = 0;
+    }
+    if (a == static_cast<std::size_t>(-1)) return acc;  // wrapped to 0
+    bool inside = true;
+    std::size_t back = 0;
+    for (std::size_t b = 0; b < d; ++b) {
+      inside = inside && coord[b] >= k[b];
+      back += k[b] * dims.stride(b);
+    }
+    if (inside)
+      acc += LayerPredictor::coefficient({k, d}, layers) *
+             static_cast<double>(v[idx - back]);
+  }
+}
+
+template <typename T>
+void check_against_naive(const Dims& dims, unsigned layers) {
+  SCOPED_TRACE(dims.to_string() + " layers=" + std::to_string(layers));
+  Rng rng(dims.count() * 131 + layers);
+  std::vector<T> v(dims.count());
+  // Zeros of both signs next to ordinary values, so a differently signed
+  // zero accumulation shows up under memcmp.
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const auto r = rng.below(4);
+    v[i] = r == 0 ? T(0) : r == 1 ? -T(0) : static_cast<T>(rng.normal());
+  }
+  const LayerPredictor p(dims, layers);
+  CoordWalker w(dims);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < v.size(); ++i, w.advance()) {
+    const double got = p.predict<T>(v, w.coord(), i);
+    const double want = naive_predict(v, dims, layers, w.coord().data(), i);
+    if (std::memcmp(&got, &want, sizeof got) != 0 && ++mismatches <= 3)
+      ADD_FAILURE() << "index " << i << ": " << got << " vs " << want;
+    bool interior = true;
+    for (std::size_t a = 0; a < dims.rank(); ++a)
+      interior = interior && w.coord()[a] >= layers;
+    EXPECT_EQ(p.interior(w.coord()), interior) << "index " << i;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Predictor, EveryPointMatchesNaiveContainmentReference) {
+  // Every coordinate of 1-wide and prime-extent shapes of ranks 1-4, so
+  // each axis sits below, at and above every layer count's border.
+  const Dims shapes[] = {Dims{1},        Dims{13},         Dims{1, 7},
+                         Dims{5, 1},     Dims{7, 11},      Dims{1, 5, 3},
+                         Dims{5, 7, 3},  Dims{3, 1, 11},   Dims{3, 5, 1, 7},
+                         Dims{2, 3, 5, 3}, Dims{1, 1, 1, 1}};
+  for (const Dims& dims : shapes)
+    for (unsigned layers = 1; layers <= kMaxLayers; ++layers) {
+      check_against_naive<float>(dims, layers);
+      check_against_naive<double>(dims, layers);
+    }
 }
 
 TEST(Predictor, InvalidLayerCountThrows) {

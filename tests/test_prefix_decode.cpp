@@ -242,6 +242,134 @@ TEST(CornerDecode, SkippedColumnSpecialsKeepTheirBits) {
   }
 }
 
+// --- zero-skip in the pre-decode pass ----------------------------------
+//
+// The pre-decode pass skips the per-code loop of any row without a code 0.
+// These fields are linear (every Lorenzo residual is tiny, so no code 0
+// appears by accident) with distinct spikes placed relative to one corner;
+// a spike also makes its +1 neighbours on every axis unpredictable.  The
+// spike values differ, so a pass that drops or misplaces any point's bits
+// reads some later kept point's value wrong.
+
+enum class Spots {
+  kInsideFirstLast,   // inside rows: column 0, the last kept, the last
+  kOutsideRows,       // rows outside the corner, then a kept spike
+  kLastRowTail,       // the skipped tail of the corner's last row
+  kTailOnlyThenKept,  // tails of inside rows only, then a kept spike
+};
+
+template <typename T>
+std::vector<T> spiked_field(const Dims& dims,
+                            const std::vector<std::size_t>& corner,
+                            Spots spots) {
+  const std::size_t rank = dims.rank();
+  const std::size_t C = dims.extent(rank - 1);
+  const std::size_t keep = corner[rank - 1];
+  const std::size_t rows = dims.count() / C;
+  std::vector<T> v(dims.count());
+  std::vector<std::size_t> coord(rank);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    double x = 0.0;
+    for (std::size_t a = 0, rem = i; a < rank; ++a) {
+      coord[a] = rem / dims.stride(a);
+      rem %= dims.stride(a);
+      x += 0.001 * static_cast<double>(a + 1) * static_cast<double>(coord[a]);
+    }
+    v[i] = static_cast<T>(x);
+  }
+  std::size_t k = 0;
+  const auto spike = [&](std::size_t row, std::size_t c) {
+    v[row * C + c] = k % 4 == 3 ? kSpecials<T>[k % 3]
+                                : static_cast<T>(1e5 * static_cast<double>(k + 1));
+    ++k;
+  };
+  // Row `row` lies inside the corner when every slower coordinate does.
+  const auto inside = [&](std::size_t row) {
+    for (std::size_t a = rank - 1; a-- > 0;) {
+      if (row % dims.extent(a) >= corner[a]) return false;
+      row /= dims.extent(a);
+    }
+    return true;
+  };
+  std::size_t last = 0;  // the corner's last row
+  for (std::size_t row = 0; row < rows; ++row)
+    if (inside(row)) last = row;
+  for (std::size_t row = 0; row < rows; ++row) {
+    const bool in = inside(row);
+    switch (spots) {
+      case Spots::kInsideFirstLast:
+        if (in && row != last)
+          spike(row, row % 3 == 0 ? 0 : row % 3 == 1 ? keep - 1 : C - 1);
+        break;
+      case Spots::kOutsideRows:
+        if (!in && row < last) spike(row, (row * 7) % C);
+        break;
+      case Spots::kLastRowTail:
+        if (row == last)
+          for (std::size_t c = keep; c < C; ++c) spike(row, c);
+        if (row > last) spike(row, row % C);
+        break;
+      case Spots::kTailOnlyThenKept:
+        if (in && row != last && keep < C) spike(row, C - 1);
+        break;
+    }
+  }
+  if (spots != Spots::kLastRowTail) spike(last, 0);  // read after the rest
+  return v;
+}
+
+template <typename T>
+void check_zero_skip(const Dims& dims, const std::vector<std::size_t>& corner,
+                     Spots spots, EntropyBackend entropy, bool decorrelate) {
+  SCOPED_TRACE(dims.to_string() + " corner " + Dims(corner).to_string() +
+               " spots " + std::to_string(static_cast<int>(spots)) +
+               (entropy == EntropyBackend::kRans ? " rans" : " huffman") +
+               (decorrelate ? " decorrelate" : "") +
+               (sizeof(T) == 8 ? " f64" : " f32"));
+  const auto data = spiked_field<T>(dims, corner, spots);
+  Options opts;
+  opts.eb_abs = 1e-3;
+  opts.decorrelate = decorrelate;
+  opts.exec.entropy = entropy;
+  const auto stream = compress(std::span<const T>(data), dims, opts);
+
+  // The whole decode (which skips zero-free rows) against the reference
+  // walk, which reads unpredictable bits inline and skips nothing.
+  std::vector<T> full(dims.count()), ref(dims.count());
+  decompress_into(stream, std::span<T>(full));
+  ExecPolicy reference;
+  reference.mode = HotPathMode::kReference;
+  decompress_into(stream, std::span<T>(ref), reference);
+  ASSERT_EQ(0, std::memcmp(full.data(), ref.data(), full.size() * sizeof(T)));
+
+  const Dims shape(corner);
+  const std::vector<std::size_t> zero(dims.rank(), 0);
+  std::vector<T> want(shape.count()), got(shape.count());
+  copy_subcuboid(full.data(), dims, zero, want.data(), shape, zero, corner);
+  decompress_corner_into(stream, corner, std::span<T>(got));
+  ASSERT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(T)));
+}
+
+TEST(CornerDecode, ZeroSkipKeepsEveryUnpredictableBit) {
+  const std::vector<std::pair<Dims, std::vector<std::vector<std::size_t>>>>
+      cases = {
+          {Dims{9, 13}, {{4, 6}, {9, 1}, {1, 13}, {6, 12}, {9, 13}, {2, 2}}},
+          {Dims{5, 6, 11},
+           {{3, 4, 5}, {5, 6, 5}, {2, 6, 11}, {1, 1, 3}, {5, 3, 10},
+            {4, 1, 1}}},
+      };
+  for (const auto& [dims, list] : cases)
+    for (const auto& corner : list)
+      for (const auto spots : {Spots::kInsideFirstLast, Spots::kOutsideRows,
+                               Spots::kLastRowTail, Spots::kTailOnlyThenKept})
+        for (const auto entropy :
+             {EntropyBackend::kHuffman, EntropyBackend::kRans})
+          for (const bool decorrelate : {false, true}) {
+            check_zero_skip<float>(dims, corner, spots, entropy, decorrelate);
+            check_zero_skip<double>(dims, corner, spots, entropy, decorrelate);
+          }
+}
+
 std::vector<std::uint8_t> sample_stream(EntropyBackend entropy) {
   const Dims dims{6, 5, 7};
   const auto data = field<float>(dims, 5, true);

@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Pin the bytes of `sz14 compress` streams against recorded sha256 sums.
+"""Pin the bytes of `sz14 compress` streams and their decodes against sha256 sums.
 
 The codec's fast paths promise streams byte-identical to the reference
-walk, release after release.  This script generates 1D/2D/3D fields with
+walk, release after release, and decodes byte-identical to the decoder
+that recorded them.  This script generates 1D/2D/3D fields with
 integer-only arithmetic (no libm, so every platform builds the same
 inputs), compresses each through the CLI under a fixed set of options, and
-compares every stream's sha256 with the table in golden_streams.json.
+compares the sha256 of every stream and of its `sz14 decompress` output
+with the table in golden_streams.json.  It also archives the cube in
+8x16x16 blocks and pins three region extracts that cut blocks partway (the
+archive's corner-decode path; the CLI reader has no block cache).
 
     python3 tools/golden_streams.py --sz14 build/sz14            # check
     python3 tools/golden_streams.py --sz14 build/sz14 --record   # rewrite
 
-Exit status: 0 when every stream matches, 1 on a mismatch or a missing
-entry, 2 when the CLI fails.  Record only from a build whose streams are
-known good: the table is the format's contract, not a snapshot of HEAD.
+Exit status: 0 when every hash matches, 1 on a mismatch or a missing
+entry, 2 when the CLI fails.  Record only from a build whose streams and
+decodes are known good: the table is the format's contract, not a snapshot
+of HEAD.
 """
 
 import argparse
@@ -99,6 +104,18 @@ def case_key(name, dtype, args):
     return " ".join([name, dtype] + args)
 
 
+REGIONS = (  # (origin, shape) in the 20x30x40 cube, blocks 8x16x16
+    ("0x0x0", "5x7x9"),
+    ("3x5x7", "10x20x25"),
+    ("12x14x30", "8x16x10"),
+)
+
+
+def sha256_file(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sz14", required=True, help="path to the sz14 CLI")
@@ -112,41 +129,69 @@ def main():
             want = json.load(f)
     got = {}
     bad = 0
+
+    def sz14(*argv):
+        cmd = [args.sz14] + list(argv)
+        run = subprocess.run(cmd, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE, text=True)
+        if run.returncode != 0:
+            print("error: %s: %s" % (" ".join(cmd), run.stderr.strip()),
+                  file=sys.stderr)
+        return run.returncode == 0
+
+    def pin(key, path):
+        nonlocal bad
+        digest = sha256_file(path)
+        got[key] = digest
+        if not args.record:
+            ok = want.get(key) == digest
+            bad += not ok
+            print("%-8s %s %s" % ("ok" if ok else "MISMATCH", digest[:16],
+                                  key))
+
     with tempfile.TemporaryDirectory() as tmp:
         for seed, (name, dims) in enumerate(FIELDS.items(), start=1):
             for dtype in ("f32", "f64"):
                 write_field(os.path.join(tmp, "%s.%s" % (name, dtype)), dims,
                             dtype, seed)
+        dst = os.path.join(tmp, "out.sz")
+        raw = os.path.join(tmp, "out.raw")
         for name, dtype, opts in cases():
             src = os.path.join(tmp, "%s.%s" % (name, dtype))
-            dst = os.path.join(tmp, "out.sz")
-            cmd = [args.sz14, "compress", "-i", src, "-o", dst, "-d",
-                   "x".join(map(str, FIELDS[name])), "--dtype", dtype] + opts
-            run = subprocess.run(cmd, stdout=subprocess.DEVNULL,
-                                 stderr=subprocess.PIPE, text=True)
-            if run.returncode != 0:
-                print("error: %s: %s" % (" ".join(cmd), run.stderr.strip()),
-                      file=sys.stderr)
+            if not sz14("compress", "-i", src, "-o", dst, "-d",
+                        "x".join(map(str, FIELDS[name])), "--dtype", dtype,
+                        *opts):
                 return 2
-            with open(dst, "rb") as f:
-                digest = hashlib.sha256(f.read()).hexdigest()
             key = case_key(name, dtype, opts)
-            got[key] = digest
-            if not args.record:
-                ok = want.get(key) == digest
-                bad += not ok
-                print("%-8s %s %s" % ("ok" if ok else "MISMATCH", digest[:16],
-                                      key))
+            pin(key, dst)
+            if not sz14("decompress", "-i", dst, "-o", raw):
+                return 2
+            pin("decompress " + key, raw)
+        sza = os.path.join(tmp, "cube.sza")
+        archive_opts = ["--codec", "sz14", "--rel", "1e-4", "--block",
+                        "8x16x16"]
+        if not sz14("archive", "create", "-o", sza, "--field",
+                    "v=%s:%s" % (os.path.join(tmp, "cube.f32"),
+                                 "x".join(map(str, FIELDS["cube"]))),
+                    *archive_opts):
+            return 2
+        for origin, shape in REGIONS:
+            if not sz14("archive", "extract", "-i", sza, "-f", "v", "-o",
+                        raw, "--origin", origin, "--shape", shape):
+                return 2
+            pin(" ".join(["extract cube f32"] + archive_opts +
+                         ["--origin", origin, "--shape", shape]), raw)
     if args.record:
         with open(TABLE, "w") as f:
             json.dump(got, f, indent=2, sort_keys=True)
             f.write("\n")
-        print("recorded %d streams in %s" % (len(got), TABLE))
+        print("recorded %d hashes in %s" % (len(got), TABLE))
         return 0
     missing = sorted(set(want) - set(got))
     for key in missing:
         print("MISSING  %s" % key)
-    print("%d of %d streams match" % (len(got) - bad, len(want)))
+    print("%d of %d streams and decodes match" % (len(got) - bad,
+                                                  len(want)))
     return 1 if bad or missing else 0
 
 
