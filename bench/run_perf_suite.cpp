@@ -1,14 +1,11 @@
 // Tracked performance baseline: compress/decompress throughput, compression
 // factor, and per-stage breakdown on 1D/2D/3D synthetic fields, measured for
-// THREE hot-path modes in the same run so speedups are apples-to-apples on
+// both hot-path modes in the same run so speedups are apples-to-apples on
 // the same machine:
 //   reference — the pre-kernel seed walk + bit-by-bit Huffman decode,
 //   fast      — specialized wavefront kernels, bit-identical to reference
-//               (verified on every run),
-//   turbo     — reciprocal-multiply quantization; NOT bit-identical, so the
-//               suite instead verifies the error-bound contract by
-//               decompressing and reporting max |x - x'| against eb.
-// A threaded section measures the parallel slab codec (fast + turbo) at
+//               (verified on every run).
+// A threaded section measures the parallel slab codec (fast + rans) at
 // --threads N workers, an archive-serving section measures concurrent
 // region reads on one shared ArchiveReader (skewed hot-set mix, decoded-
 // block cache off/on, results verified bit-identical to sequential reads),
@@ -27,8 +24,8 @@
 //   --out       write JSON to FILE instead of stdout
 //   --filter    run only sections whose tag matches REGEX (search, not
 //               full match).  Tags: <field>/<mode> for the sequential
-//               modes (reference|fast|turbo|rans),
-//               <field>/parallel/<mode> (fast|turbo|rans) for the slab
+//               modes (reference|fast|rans),
+//               <field>/parallel/<mode> (fast|rans) for the slab
 //               codec, and serving/(nocache|cache|parity|daemon|
 //               sharded) for the archive-serving sections.  Cross-record outputs (the
 //               fast-vs-reference identity check, the speedup record)
@@ -342,22 +339,19 @@ int main(int argc, char** argv) {
 
       const bool w_ref = want(fname + "/reference");
       const bool w_fast = want(fname + "/fast");
-      const bool w_turbo = want(fname + "/turbo");
       const bool w_rans = want(fname + "/rans");
       const bool w_par_fast = want(fname + "/parallel/fast");
-      const bool w_par_turbo = want(fname + "/parallel/turbo");
       const bool w_par_rans = want(fname + "/parallel/rans");
-      if (!(w_ref || w_fast || w_turbo || w_rans || w_par_fast ||
-            w_par_turbo || w_par_rans))
+      if (!(w_ref || w_fast || w_rans || w_par_fast || w_par_rans))
         continue;
 
-      // Four-way comparison through per-call policies: same process, no
+      // Three-way comparison through per-call policies: same process, no
       // scope guards, no global state.  "rans" is the fast walk with the
       // rANS entropy backend — same codes, different entropy stage — so
       // its reconstruction must be bit-identical to fast's.
       std::vector<std::uint8_t> ref_stream, fast_stream;
       std::vector<float> ref_recon, fast_recon, rans_recon;
-      StageTimes ref, fast, turbo, rans;
+      StageTimes ref, fast, rans;
       if (w_ref) {
         Options o = opts;
         o.exec.mode = HotPathMode::kReference;
@@ -367,11 +361,6 @@ int main(int argc, char** argv) {
         Options o = opts;
         o.exec.mode = HotPathMode::kFast;
         fast = measure(f, o, reps, &fast_stream, &fast_recon);
-      }
-      if (w_turbo) {
-        Options o = opts;
-        o.exec.mode = HotPathMode::kTurbo;
-        turbo = measure(f, o, reps, nullptr, nullptr);
       }
       if (w_rans) {
         Options o = opts;
@@ -388,13 +377,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "run_perf_suite: FAST/REFERENCE DIVERGENCE on %s\n",
                      fname.c_str());
-        exit_code = 1;
-      }
-      if (w_turbo && !(turbo.max_error <= opts.eb_abs)) {
-        std::fprintf(stderr,
-                     "run_perf_suite: TURBO BOUND VIOLATION on %s "
-                     "(max_error %.3e > eb %.3e)\n",
-                     fname.c_str(), turbo.max_error, opts.eb_abs);
         exit_code = 1;
       }
       if (w_rans && w_fast &&
@@ -420,28 +402,19 @@ int main(int argc, char** argv) {
         emit_mode_record(json, field_names[fi], f.dims.rank(),
                          f.values.size(), raw_bytes, fast, "fast",
                          opts.eb_abs, reps);
-      if (w_turbo)
-        emit_mode_record(json, field_names[fi], f.dims.rank(),
-                         f.values.size(), raw_bytes, turbo, "turbo",
-                         opts.eb_abs, reps);
       if (w_rans)
         emit_mode_record(json, field_names[fi], f.dims.rank(),
                          f.values.size(), raw_bytes, rans, "rans",
                          opts.eb_abs, reps);
 
-      // Threaded slab codec: fast + turbo + rans (fast walk, rANS
+      // Threaded slab codec: fast + rans (fast walk, rANS
       // entropy), with the per-slab entropy CPU time carried out of the
       // codec itself.
-      ParallelTimes par_fast, par_turbo, par_rans;
+      ParallelTimes par_fast, par_rans;
       if (w_par_fast) {
         Options o = opts;
         o.exec.mode = HotPathMode::kFast;
         par_fast = measure_parallel(f, o, reps, pool);
-      }
-      if (w_par_turbo) {
-        Options o = opts;
-        o.exec.mode = HotPathMode::kTurbo;
-        par_turbo = measure_parallel(f, o, reps, pool);
       }
       if (w_par_rans) {
         Options o = opts;
@@ -455,7 +428,6 @@ int main(int argc, char** argv) {
         bool ran;
       };
       const ParRow par_rows[] = {{&par_fast, "fast", w_par_fast},
-                                 {&par_turbo, "turbo", w_par_turbo},
                                  {&par_rans, "rans", w_par_rans}};
       for (const auto& row : par_rows) {
         if (!row.ran) continue;
@@ -490,45 +462,29 @@ int main(int argc, char** argv) {
         json.end_record();
       }
 
-      if (w_ref && w_fast && w_turbo && w_par_turbo) {
+      if (w_ref && w_fast) {
         json.begin_record();
         json.kv("bench", "perf_suite_speedup");
         json.kv("field", field_names[fi]);
         json.kv("rank", f.dims.rank());
         json.kv("speedup_compress", ref.compress_s / fast.compress_s);
         json.kv("speedup_decompress", ref.decompress_s / fast.decompress_s);
-        json.kv("speedup_compress_turbo", ref.compress_s / turbo.compress_s);
-        json.kv("speedup_decompress_turbo",
-                ref.decompress_s / turbo.decompress_s);
-        json.kv("speedup_compress_parallel_turbo",
-                ref.compress_s / par_turbo.compress_s);
         json.kv("streams_identical", static_cast<std::size_t>(identical));
-        json.kv("turbo_max_error", turbo.max_error);
-        json.kv("turbo_cf_delta",
-                static_cast<double>(raw_bytes) /
-                        static_cast<double>(turbo.stream_bytes) -
-                    static_cast<double>(raw_bytes) /
-                        static_cast<double>(fast.stream_bytes));
         json.end_record();
-      }
-
-      if (w_ref && w_fast && w_turbo)
         std::fprintf(
             stderr,
-            "%-12s  compress %6.1f -> %6.1f -> %6.1f MB/s "
-            "(fast %.2fx, turbo %.2fx)   decompress %6.1f -> %6.1f MB/s "
-            "(%.2fx)   CF %.2f%s   turbo max_err %.2e\n",
+            "%-12s  compress %6.1f -> %6.1f MB/s (%.2fx)   "
+            "decompress %6.1f -> %6.1f MB/s (%.2fx)   CF %.2f%s\n",
             fname.c_str(), gbps(raw_bytes, ref.compress_s) * 1e3,
             gbps(raw_bytes, fast.compress_s) * 1e3,
-            gbps(raw_bytes, turbo.compress_s) * 1e3,
             ref.compress_s / fast.compress_s,
-            ref.compress_s / turbo.compress_s,
             gbps(raw_bytes, ref.decompress_s) * 1e3,
             gbps(raw_bytes, fast.decompress_s) * 1e3,
             ref.decompress_s / fast.decompress_s,
             static_cast<double>(raw_bytes) /
                 static_cast<double>(fast.stream_bytes),
-            identical ? "" : "  [DIVERGED]", turbo.max_error);
+            identical ? "" : "  [DIVERGED]");
+      }
       if (w_rans && w_fast)
         std::fprintf(
             stderr,
@@ -540,14 +496,13 @@ int main(int argc, char** argv) {
                 static_cast<double>(rans.stream_bytes),
             static_cast<double>(raw_bytes) /
                 static_cast<double>(fast.stream_bytes));
-      if (w_par_fast && w_par_turbo)
+      if (w_par_fast)
         std::fprintf(
             stderr,
-            "              parallel(%zut) compress %6.1f (fast) %6.1f "
-            "(turbo) MB/s   decompress %6.1f MB/s\n",
+            "              parallel(%zut) compress %6.1f MB/s   "
+            "decompress %6.1f MB/s\n",
             threads, gbps(raw_bytes, par_fast.compress_s) * 1e3,
-            gbps(raw_bytes, par_turbo.compress_s) * 1e3,
-            gbps(raw_bytes, par_turbo.decompress_s) * 1e3);
+            gbps(raw_bytes, par_fast.decompress_s) * 1e3);
     }
 
     // Archive serving: concurrent region reads from one shared reader on

@@ -14,10 +14,8 @@ namespace {
 // --- sz14: native f32 and f64 error-bounded paths ------------------------
 //
 // These run the full specialized kernel stack under the caller's per-call
-// ExecPolicy: an ArchiveWriter whose policy selects kTurbo compresses
-// every block through the reciprocal-multiply kernels (bound-conformant,
-// not bit-identical to kFast archives of the same data — each mode is
-// individually deterministic, so CRCs reproduce within a mode), and the
+// ExecPolicy: the policy's mode picks the kernels (kFast and kReference
+// write the same bytes, so block CRCs do not depend on it), and the
 // writer's scratch arena serves every block task.
 
 std::vector<std::uint8_t> sz14_c32(std::span<const float> block,

@@ -29,9 +29,8 @@ inline constexpr std::uint8_t kCodecGzip = 4;
 /// Both directions receive the caller's ExecPolicy (per-call hot-path mode +
 /// scratch arena — the sz14 backend honors both; the baseline backends
 /// accept and ignore it).  Execution policy never reaches the on-disk
-/// format: compressed bytes and decoded values are policy-independent
-/// (modulo kTurbo's explicit compress-side bit-identity trade), so scratch
-/// and pool choices are invisible in the data.
+/// format: compressed bytes and decoded values are policy-independent,
+/// so mode, scratch and pool choices are invisible in the data.
 struct CodecOps {
   std::uint8_t id;
   const char* name;

@@ -3,9 +3,9 @@
 // Everything the paper's codec computes is a function of (data, dims, eb,
 // m, n) — the *execution strategy* (which hot-path implementation runs,
 // which thread pool carries slab/block batches, which scratch arena
-// supplies working buffers) is orthogonal to the stream contents, with two
-// explicit, flagged-in-the-stream exceptions: kTurbo's reciprocal
-// quantizer and the EntropyBackend selection below.
+// supplies working buffers) is orthogonal to the stream contents, with one
+// explicit, flagged-in-the-stream exception: the EntropyBackend selection
+// below.
 // ExecPolicy makes that strategy an explicit per-call value carried on
 // Options (compress side) or passed to the decompress entry points, so
 // many concurrent calls with heterogeneous settings coexist in one
@@ -133,19 +133,18 @@ class CodecScratch {
   std::unordered_map<std::thread::id, std::unique_ptr<Buffers>> slots_;
 };
 
-/// Entropy backend for the quantization-code section of a stream.  Like
-/// kTurbo's reciprocal quantizer, this is an explicit stream-contents
-/// trade selected per call: kHuffman is the seed-faithful default
-/// (bit-identical streams in kReference/kFast), kRans writes the
-/// interleaved two-stream rANS section instead (flagged in the stream
-/// header; old readers reject it cleanly as an unknown flag).  Decoders
+/// Entropy backend for the quantization-code section of a stream.  This
+/// is an explicit stream-contents trade selected per call: kHuffman is the
+/// seed-faithful default (bit-identical streams in kReference/kFast), kRans
+/// writes the interleaved two-stream rANS section instead (flagged in the
+/// stream header; old readers reject it cleanly as an unknown flag).  Decoders
 /// dispatch on the stream itself, never on this field.
 enum class EntropyBackend : std::uint8_t { kHuffman = 0, kRans = 1 };
 
 /// Execution strategy for one codec call.  Value type: copy freely; the
 /// pointers are non-owning borrows that must outlive the call.
 struct ExecPolicy {
-  /// Hot-path implementation (kFast/kReference/kTurbo).  Unset means
+  /// Hot-path implementation (kFast/kReference).  Unset means
   /// kFast, resolved once at the API boundary.
   std::optional<HotPathMode> mode;
   /// Pool for the threaded entry points (parallel codec, archive writer).

@@ -43,8 +43,7 @@ struct Options {
   /// factor drops slightly (one extra bit of interval resolution is spent).
   bool decorrelate = false;
   /// Execution strategy for this call (hot-path mode, pool, scratch).
-  /// Never part of the stream CONTENTS contract except through kTurbo's
-  /// explicit speed-for-bit-identity trade: kFast/kReference produce
+  /// Never part of the stream CONTENTS contract: kFast/kReference produce
   /// identical bytes and scratch/pool choices are invisible in the output.
   ExecPolicy exec;
 };

@@ -46,8 +46,7 @@ namespace {
 // rows, unrolled — width 3 level with 4 and ahead of 2 and 6, and the
 // unrolled loop ahead of the runtime-bounded one on 2D and 3D.  Decompress,
 // whose chain has no quantize step: 6 rows, runtime-bounded — 3 unrolled
-// and 6 unrolled read 3% and 12% slower on cold served reads.  Turbo
-// compress keeps the 6 runtime-bounded rows it was tuned with.
+// and 6 unrolled read 3% and 12% slower on cold served reads.
 
 /// Per-row traversal state: cursor into the pre-decoded unpredictable
 /// values (decompress fast path; unused elsewhere).
@@ -93,47 +92,19 @@ struct CompressBodyRef {
   [[nodiscard]] const T* basis() const noexcept { return recon; }
 };
 
-/// The turbo (HotPathMode::kTurbo) quantize step, operation for operation
-/// LinearQuantizer::quantize_turbo with the quantizer state hoisted into
-/// `k` and its three accept tests folded into one predicate as in
-/// quantize_exact: the reciprocal multiply and the two-op round may land a
-/// point one interval off near boundaries or ties, but the reconstruction
-/// test demotes any point whose stored value would miss the bound, so the
-/// stream stays |x - x'| <= eb conformant (tests/test_conformance.cpp).
-template <typename T>
-inline QuantResultT<T> quantize_turbo_hoisted(T real, double pred,
-                                              const QuantizerScalars& k) {
-  const double diff = static_cast<double>(real) - pred;
-  const double scaled = diff * k.inv_2eb;
-  const bool in_range = std::fabs(scaled) < k.radius_d;
-  const double safe = in_range ? scaled : 0.0;
-  // trunc(x + copysign(0.5, x)): it disagrees with round-half-away only
-  // when x + 0.5 rounds across an integer (the nextafter(0.5)-style ties).
-  const auto q = static_cast<std::int32_t>(safe + std::copysign(0.5, safe));
-  const auto recon = static_cast<T>(pred + k.two_eb * q);
-  const bool ok =
-      in_range &
-      (static_cast<std::uint32_t>(q + k.radius_i - 1) <
-       static_cast<std::uint32_t>(2 * k.radius_i - 1)) &
-      (std::fabs(static_cast<double>(recon) - static_cast<double>(real)) <=
-       k.eb);
-  if (ok) return {true, static_cast<std::uint16_t>(k.radius_i + q), recon};
-  return {};
-}
-
 /// Wavefront-safe compress body: reconstructs unpredictable points without
 /// touching the bitstream (emitted in index order after the walk), and
 /// counts nothing per point but the optional strict hits — `predictable`
-/// is read off the codes afterwards.  kTurbo selects the turbo quantize
-/// step, otherwise quantize_exact keeps the stream bit-identical to the
-/// reference walk.  kStrictHits counts the Sec. III-B strict-hit statistic
-/// (Table II layer study), which only prediction_quantization_pass reports.
+/// is read off the codes afterwards.  quantize_exact keeps the stream
+/// bit-identical to the reference walk.  kStrictHits counts the Sec. III-B
+/// strict-hit statistic (Table II layer study), which only
+/// prediction_quantization_pass reports.
 /// The pointers are __restrict so input loads do not serialize against the
 /// reconstruction stores (data/codes/recon never alias by contract).
-template <typename T, bool kTurbo, bool kStrictHits>
+template <typename T, bool kStrictHits>
 struct CompressBodyFast {
-  static constexpr std::size_t kWave = kTurbo ? 6 : 3;
-  static constexpr bool kUnrolled = !kTurbo;
+  static constexpr std::size_t kWave = 3;
+  static constexpr bool kUnrolled = true;
   const T* __restrict data;
   std::uint16_t* __restrict codes;
   T* __restrict recon;
@@ -153,9 +124,7 @@ struct CompressBodyFast {
       strict_hits += static_cast<std::size_t>(
           std::fabs(pred - static_cast<double>(data[i])) <= k.eb);
     const double grid_pred = decorrelate ? pred + dither_for(i, k.eb) : pred;
-    const QuantResultT<T> q =
-        kTurbo ? quantize_turbo_hoisted<T>(data[i], grid_pred, k)
-               : quantize_exact<T>(data[i], grid_pred, k);
+    const QuantResultT<T> q = quantize_exact<T>(data[i], grid_pred, k);
     if (q.predictable) {
       codes[i] = q.code;
       recon[i] = q.reconstructed;
@@ -196,7 +165,7 @@ struct DecompressBodyRef {
 /// Wavefront-safe decompress body: unpredictable values come from the
 /// pre-decoded array, each row starting at its precomputed rank.  The
 /// reconstruction (pred + 2*eb*q, see LinearQuantizer::reconstruct) is
-/// inlined with hoisted scalars like quantize_hoisted above.
+/// inlined with hoisted scalars like quantize_exact.
 template <typename T>
 struct DecompressBodyFast {
   static constexpr std::size_t kWave = 6;
@@ -546,7 +515,7 @@ void walk_fast(const Dims& dims, const LayerPredictor& predictor,
 
 /// One fast compress walk; returns the strict-hit count (0 unless
 /// kStrictHits).
-template <typename T, bool kTurbo, bool kStrictHits>
+template <typename T, bool kStrictHits>
 std::size_t compress_walk_fast(std::span<const T> data, const Dims& dims,
                                const LayerPredictor& predictor,
                                const QuantizerScalars& k,
@@ -554,7 +523,7 @@ std::size_t compress_walk_fast(std::span<const T> data, const Dims& dims,
                                bool decorrelate,
                                std::span<std::uint16_t> codes,
                                std::span<T> recon) {
-  CompressBodyFast<T, kTurbo, kStrictHits> body{
+  CompressBodyFast<T, kStrictHits> body{
       data.data(), codes.data(), recon.data(), &unpred, k, decorrelate};
   walk_fast<T>(dims, predictor, body);
   return body.strict_hits;
@@ -583,14 +552,11 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
   }
   const QuantizerScalars k = quantizer.scalars();
   PassCounters counters;
-  if (mode == HotPathMode::kTurbo)
-    counters.strict_hits = compress_walk_fast<T, true, false>(
-        data, dims, predictor, k, unpred, decorrelate, codes, recon);
-  else if (count_strict_hits)
-    counters.strict_hits = compress_walk_fast<T, false, true>(
+  if (count_strict_hits)
+    counters.strict_hits = compress_walk_fast<T, true>(
         data, dims, predictor, k, unpred, decorrelate, codes, recon);
   else
-    counters.strict_hits = compress_walk_fast<T, false, false>(
+    counters.strict_hits = compress_walk_fast<T, false>(
         data, dims, predictor, k, unpred, decorrelate, codes, recon);
   // Emit the unpredictable bitstream in index order (the wavefront visits
   // points out of order; bits must not).  `predictable` comes from one

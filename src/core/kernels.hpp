@@ -14,11 +14,7 @@
 // quantize_exact (core/quantizer.hpp): a reciprocal multiply and an add/
 // subtract round on the prediction chain, with the exact divide and
 // round-half-away re-run only within a hair of a half-interval, so its
-// codes stay those of LinearQuantizer::quantize.  HotPathMode::kTurbo runs
-// the same walks with a plain reciprocal multiply and a two-op round and
-// no exact fallback — not bit-identical to the seed stream, but every
-// point stays within the error bound (boundary-straddling points are
-// demoted to unpredictable; enforced by tests/test_conformance.cpp).
+// codes stay those of LinearQuantizer::quantize.
 //
 // The mode is a plain argument: the walks never read process state, so
 // concurrent calls with different modes are independent by construction.
@@ -38,7 +34,7 @@ namespace sz14::detail {
 
 /// Walk statistics (see PassResultT for the two hit definitions).
 /// The reference walk counts both; the fast walks count strict_hits only
-/// on request and the turbo walk never (it stays 0 then).
+/// on request (it stays 0 otherwise).
 struct PassCounters {
   std::size_t predictable = 0;
   std::size_t strict_hits = 0;

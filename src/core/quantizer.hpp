@@ -104,37 +104,6 @@ class LinearQuantizer {
             recon};
   }
 
-  /// Turbo (HotPathMode::kTurbo) decision, the reference implementation of
-  /// the arithmetic the turbo kernels run (core/kernels.cpp mirrors it
-  /// operation-for-operation): the interval index comes from
-  /// `diff * inv_2eb` instead of `diff / (2 * eb)`, and rounding is the
-  /// two-op `trunc(x + copysign(0.5, x))` form rather than the exact
-  /// compare-based round — both can land the scaled offset one interval
-  /// off near boundaries/ties, so the produced code may differ from
-  /// quantize()'s.  The result is still bound-conformant: the
-  /// reconstruction check below demotes any point whose stored value would
-  /// miss the bound (including boundary-straddling ones) to the
-  /// unpredictable path, which carries its own |x - x'| <= eb guarantee.
-  template <typename T>
-  [[nodiscard]] QuantResultT<T> quantize_turbo(T real, double pred) const {
-    if (!(eb_ > 0.0) || !std::isfinite(real)) return {};
-    const double diff = static_cast<double>(real) - pred;
-    const double scaled = diff * inv_2eb_;
-    if (!(std::fabs(scaled) < static_cast<double>(radius_))) return {};
-    const auto q =
-        static_cast<std::int32_t>(scaled + std::copysign(0.5, scaled));
-    if (q <= -static_cast<std::int32_t>(radius_) ||
-        q >= static_cast<std::int32_t>(radius_))
-      return {};
-    const auto recon = static_cast<T>(pred + 2.0 * eb_ * q);
-    if (!(std::fabs(static_cast<double>(recon) -
-                    static_cast<double>(real)) <= eb_))
-      return {};
-    return {true,
-            static_cast<std::uint16_t>(static_cast<std::int32_t>(radius_) + q),
-            recon};
-  }
-
   /// Reconstruct a predictable point from its code (1 .. 2^m - 1).
   template <typename T = float>
   [[nodiscard]] T reconstruct(std::uint16_t code, double pred) const {
@@ -151,7 +120,7 @@ class LinearQuantizer {
     return 2 * radius_;  // codes 0 .. 2^m - 1
   }
   [[nodiscard]] double error_bound() const noexcept { return eb_; }
-  /// This quantizer's state for quantize_exact() and the turbo kernels.
+  /// This quantizer's state for quantize_exact().
   [[nodiscard]] QuantizerScalars scalars() const noexcept {
     const double two_eb = 2.0 * eb_;
     return {eb_,

@@ -12,6 +12,7 @@
 #include "common/bitstream.hpp"
 #include "common/bytebuffer.hpp"
 #include "common/timer.hpp"
+#include "core/format.hpp"
 #include "core/kernels.hpp"
 #include "core/predictor.hpp"
 #include "core/quantizer.hpp"
@@ -146,8 +147,7 @@ ParallelResult parallel_compress(std::span<const float> data, const Dims& dims,
 
   ByteWriter out;
   out.put<std::uint32_t>(kParallelMagic);
-  out.put<std::uint8_t>(static_cast<std::uint8_t>(dims.rank()));
-  for (std::size_t a = 0; a < dims.rank(); ++a) out.put_varint(dims.extent(a));
+  write_dims(dims, out);
   out.put_varint(chunks);
   out.put<double>(eb);
   out.put<std::uint8_t>(static_cast<std::uint8_t>(opts.interval_bits));
@@ -249,13 +249,7 @@ ParallelDecompressResult parallel_decompress_impl(
   const auto magic = in.get<std::uint32_t>();
   if (magic != kParallelMagic && magic != kParallelMagicV2)
     throw std::runtime_error("parallel_decompress: bad magic");
-  const auto rank = in.get<std::uint8_t>();
-  if (rank == 0 || rank > kMaxDims)
-    throw std::runtime_error("parallel_decompress: bad rank");
-  std::array<std::size_t, kMaxDims> ext{};
-  for (std::size_t a = 0; a < rank; ++a)
-    ext[a] = static_cast<std::size_t>(in.get_varint());
-  const Dims dims(std::span<const std::size_t>(ext.data(), rank));
+  const Dims dims = read_dims(in);
   const auto chunks = static_cast<std::size_t>(in.get_varint());
   if (chunks == 0 || chunks > dims.extent(0))
     throw std::runtime_error("parallel_decompress: bad chunk count");
@@ -266,7 +260,7 @@ ParallelDecompressResult parallel_decompress_impl(
   if (interval_bits < 2 || interval_bits > 16)
     throw std::runtime_error("parallel_decompress: bad interval bits");
   const auto layers = in.get<std::uint8_t>();
-  if (layers == 0)
+  if (layers == 0 || layers > kMaxLayers)
     throw std::runtime_error("parallel_decompress: bad layer count");
   const bool decorrelate = in.get<std::uint8_t>() != 0;
   // v3 carries an explicit entropy-backend byte; v2 is always Huffman.

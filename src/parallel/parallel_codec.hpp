@@ -53,10 +53,9 @@ struct ParallelResult {
 /// Whole-field threaded compression driven by `opts.exec`: the pool comes
 /// from the policy (`exec.pool`; null builds a private pool of
 /// `exec.threads` workers), the hot-path mode is resolved once on the
-/// calling thread and carried into every slab task (kTurbo slabs are
-/// bound-conformant rather than bit-reproducible against kFast ones — but
-/// each mode is individually deterministic), and `exec.scratch` hands each
-/// worker reusable walk buffers.  `chunks == 0` picks one slab per worker.
+/// calling thread and carried into every slab task (both modes write the
+/// same bytes), and `exec.scratch` hands each worker reusable walk buffers.
+/// `chunks == 0` picks one slab per worker.
 /// The error bound is resolved ONCE against the whole field's value range,
 /// so eb_rel does not depend on the chunking.
 ///

@@ -1,13 +1,14 @@
-// Error-bound conformance suite for the turbo hot path.
+// Error-bound conformance suite: the paper's contract, end to end.
 //
-// HotPathMode::kTurbo replaces the compress-side divide with a reciprocal
-// multiply, so its streams are NOT bit-identical to the reference — the
-// contract is weaker and is exactly what these tests pin down: for every
-// finite input point, the reconstruction satisfies |x - x'| <= eb, with
-// non-finite points restored bit-exactly (raw escape path).  Adversarial
-// inputs target the places where reciprocal rounding can differ from the
-// divide: values landing exactly on interval boundaries and half-interval
-// midpoints, denormals, and bounds spanning many ULP scales; f32 and f64.
+// For every finite input point the reconstruction satisfies |x - x'| <= eb,
+// with non-finite points restored bit-exactly (raw escape path).  Each
+// field runs through compress/decompress in both hot-path modes, and f32
+// fields also through the threaded slab codec (3 slabs; slab borders reset
+// prediction, so the slab path has borders of its own to get right).
+// Adversarial inputs target the places where the fast walk's reciprocal
+// multiply could differ from the divide: values landing exactly on interval
+// boundaries and half-interval midpoints, denormals, and bounds spanning
+// many ULP scales; f32 and f64.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,8 +19,8 @@
 
 #include "common/hotpath.hpp"
 #include "core/compressor.hpp"
-#include "core/quantizer.hpp"
 #include "data/generators.hpp"
+#include "parallel/parallel_codec.hpp"
 
 namespace sz14 {
 namespace {
@@ -53,64 +54,34 @@ std::vector<T> roundtrip(std::span<const T> data, const Dims& dims,
   }
 }
 
+// The threaded slab codec is f32-only; fields too thin for 3 slabs skip it.
+void slab_conformance(std::span<const float> values, const Dims& dims,
+                      const Options& opts, const char* what) {
+  if (dims.extent(0) < 3) return;
+  Options o = opts;
+  o.exec.threads = 2;
+  const auto packed = parallel_compress(values, dims, o, 3);
+  EXPECT_EQ(packed.chunks, 3u) << what;
+  const auto out = parallel_decompress(packed.stream, o.exec);
+  check_conformance<float>(values, out.data, opts.eb_abs, what);
+}
+
 template <typename T>
 void roundtrip_conformance(std::vector<T> values, const Dims& dims, double eb,
                            const char* what) {
   Options opts;
   opts.eb_abs = eb;
-  for (const HotPathMode mode :
-       {HotPathMode::kTurbo, HotPathMode::kFast, HotPathMode::kReference}) {
+  for (const HotPathMode mode : {HotPathMode::kFast, HotPathMode::kReference}) {
     opts.exec.mode = mode;
     const auto out = roundtrip<T>(values, dims, opts);
     check_conformance<T>(values, out, eb, what);
-  }
-}
-
-// --- quantizer-level: turbo decisions stay inside the bound ---------------
-
-TEST(TurboQuantizer, BoundaryValuesStayConformantOrDemote) {
-  const double eb = 1e-3;
-  const LinearQuantizer q(8, eb);
-  // Offsets exactly on interval boundaries (odd multiples of eb) and
-  // midpoints (even multiples), plus epsilon-perturbed neighbours: the
-  // turbo interval index may differ from the exact-divide one, but any
-  // accepted point must reconstruct within eb.
-  const double pred = 1.0;
-  for (int k = -260; k <= 260; ++k) {
-    for (const double nudge :
-         {0.0, 1e-19, -1e-19, 1e-12, -1e-12, 0.49999 * eb, -0.49999 * eb}) {
-      const double real = pred + k * eb + nudge;
-      const auto r = q.quantize_turbo<double>(real, pred);
-      if (r.predictable)
-        EXPECT_LE(std::fabs(static_cast<double>(r.reconstructed) - real), eb)
-            << "k=" << k << " nudge=" << nudge;
-      const auto f = q.quantize<double>(real, pred);
-      if (f.predictable)
-        EXPECT_LE(std::fabs(static_cast<double>(f.reconstructed) - real), eb);
-    }
-  }
-}
-
-TEST(TurboQuantizer, AgreesWithExactDivideAwayFromBoundaries) {
-  // Off-boundary offsets round identically: the reciprocal multiply loses
-  // at most one ulp, which only matters within a hair of a half-interval.
-  const double eb = 0.01;
-  const LinearQuantizer q(8, eb);
-  for (int k = -100; k <= 100; ++k) {
-    const double real = 5.0 + (k + 0.25) * 2.0 * eb;
-    const auto a = q.quantize<double>(real, 5.0);
-    const auto b = q.quantize_turbo<double>(real, 5.0);
-    EXPECT_EQ(a.predictable, b.predictable) << k;
-    if (a.predictable && b.predictable) {
-      EXPECT_EQ(a.code, b.code) << k;
-      EXPECT_EQ(a.reconstructed, b.reconstructed) << k;
-    }
+    if constexpr (sizeof(T) == 4) slab_conformance(values, dims, opts, what);
   }
 }
 
 // --- field-level: adversarial shapes through the full codec ---------------
 
-TEST(TurboConformance, IntervalBoundaryLattice2D) {
+TEST(BoundConformance, IntervalBoundaryLattice2D) {
   // Every value an exact multiple of eb: reciprocal rounding lands exactly
   // on interval edges everywhere.  64-bit lattice values are exact, so the
   // boundary cases are hit bit-for-bit, not approximately.
@@ -126,7 +97,7 @@ TEST(TurboConformance, IntervalBoundaryLattice2D) {
                                 "boundary lattice f64");
 }
 
-TEST(TurboConformance, IntervalBoundaryLattice2DF32) {
+TEST(BoundConformance, IntervalBoundaryLattice2DF32) {
   const double eb = 0.125;
   std::vector<float> v(96 * 80);
   std::uint64_t state = 7;
@@ -139,7 +110,7 @@ TEST(TurboConformance, IntervalBoundaryLattice2DF32) {
                                "boundary lattice f32");
 }
 
-TEST(TurboConformance, HalfIntervalMidpoints1D) {
+TEST(BoundConformance, HalfIntervalMidpoints1D) {
   // Offsets at exact half intervals — where round-half-away ties live.
   const double eb = 0.25;
   std::vector<double> v(4096);
@@ -150,7 +121,7 @@ TEST(TurboConformance, HalfIntervalMidpoints1D) {
                                 "half-interval midpoints");
 }
 
-TEST(TurboConformance, DenormalsAndTinyValues) {
+TEST(BoundConformance, DenormalsAndTinyValues) {
   std::vector<float> v(2048);
   const float den = std::numeric_limits<float>::denorm_min();
   const float tiny = std::numeric_limits<float>::min();
@@ -166,7 +137,7 @@ TEST(TurboConformance, DenormalsAndTinyValues) {
                                "denormals f32");
 }
 
-TEST(TurboConformance, NonFiniteValuesRestoredBitExact) {
+TEST(BoundConformance, NonFiniteValuesRestoredBitExact) {
   std::vector<float> v = data::climate2d(32, 48).values;
   v[7] = std::numeric_limits<float>::quiet_NaN();
   v[100] = std::numeric_limits<float>::infinity();
@@ -175,7 +146,7 @@ TEST(TurboConformance, NonFiniteValuesRestoredBitExact) {
                                "non-finite f32");
 }
 
-TEST(TurboConformance, ErrorBoundAcrossUlpScales) {
+TEST(BoundConformance, ErrorBoundAcrossUlpScales) {
   // One smooth field, bounds spanning 24 orders of magnitude: inv_2eb
   // ranges from huge to tiny, and kept-mantissa truncation goes from
   // everything to nothing.
@@ -185,7 +156,7 @@ TEST(TurboConformance, ErrorBoundAcrossUlpScales) {
   }
 }
 
-TEST(TurboConformance, UlpScales64) {
+TEST(BoundConformance, UlpScales64) {
   std::vector<double> v(16 * 20 * 20);
   for (std::size_t i = 0; i < v.size(); ++i)
     v[i] = 1e8 * std::sin(0.02 * static_cast<double>(i)) +
@@ -195,9 +166,9 @@ TEST(TurboConformance, UlpScales64) {
   }
 }
 
-TEST(TurboConformance, Rank4TakesGenericWalk) {
-  // Rank-4 turbo runs the generic walk with the reciprocal body — the
-  // bound must hold there too.
+TEST(BoundConformance, Rank4TakesGenericWalk) {
+  // Rank-4 fields run the generic walk in both modes — the bound must
+  // hold there too.
   std::vector<float> v(6 * 8 * 10 * 12);
   for (std::size_t i = 0; i < v.size(); ++i)
     v[i] = std::sin(0.05f * static_cast<float>(i)) * 10.0f;
@@ -205,52 +176,26 @@ TEST(TurboConformance, Rank4TakesGenericWalk) {
                                "rank-4 f32");
 }
 
-TEST(TurboConformance, DecorrelateModeHoldsBound) {
+TEST(BoundConformance, DecorrelateModeHoldsBound) {
   const auto f = data::climate2d(64, 64);
   Options opts;
   opts.eb_abs = 1e-3;
   opts.decorrelate = true;
-  opts.exec.mode = HotPathMode::kTurbo;
   const auto out = decompress(compress(f.values, f.dims, opts), opts.exec);
-  check_conformance<float>(f.values, out.data, 1e-3, "decorrelate turbo");
+  check_conformance<float>(f.values, out.data, 1e-3, "decorrelate");
+  slab_conformance(f.values, f.dims, opts, "decorrelate slabs");
 }
 
-TEST(TurboConformance, MultiLayerPredictors) {
+TEST(BoundConformance, MultiLayerPredictors) {
   const auto f = data::climate2d(48, 48);
   for (unsigned layers = 1; layers <= 3; ++layers) {
     Options opts;
     opts.eb_abs = 5e-3;
     opts.layers = layers;
-    opts.exec.mode = HotPathMode::kTurbo;
     const auto out = decompress(compress(f.values, f.dims, opts), opts.exec);
-    check_conformance<float>(f.values, out.data, 5e-3, "multi-layer turbo");
+    check_conformance<float>(f.values, out.data, 5e-3, "multi-layer");
+    slab_conformance(f.values, f.dims, opts, "multi-layer slabs");
   }
-}
-
-TEST(TurboConformance, TurboStreamDecodesIdenticallyInAllModes) {
-  // A turbo stream is an ordinary SZ-1.4 stream: reference and fast
-  // decoders must reconstruct it byte-identically.
-  const auto f = data::hurricane3d(10, 20, 20);
-  Options opts;
-  opts.eb_abs = 1e-3;
-  opts.exec.mode = HotPathMode::kTurbo;
-  const auto stream = compress(f.values, f.dims, opts);
-  const auto fast_out =
-      decompress(stream, ExecPolicy::with_mode(HotPathMode::kFast)).data;
-  const auto ref_out =
-      decompress(stream, ExecPolicy::with_mode(HotPathMode::kReference)).data;
-  EXPECT_EQ(fast_out, ref_out);
-  check_conformance<float>(f.values, fast_out, 1e-3, "turbo stream decode");
-}
-
-TEST(TurboConformance, TurboIsDeterministic) {
-  const auto f = data::climate2d(64, 96);
-  Options opts;
-  opts.eb_abs = 1e-3;
-  opts.exec.mode = HotPathMode::kTurbo;
-  const auto a = compress(f.values, f.dims, opts);
-  const auto b = compress(f.values, f.dims, opts);
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -5,15 +5,15 @@
 //    north-star mixed-mode scenario; run under TSan by the CI tsan job),
 //  - repeated calls through one CodecScratch are byte-identical to
 //    fresh-buffer calls across dtypes, ranks, and interleaved sizes,
-//  - per-call mode overrides the process default, which only applies when
-//    the policy leaves the mode unset,
+//  - an unset mode resolves to kFast and a set one is taken as given,
 //  - the parallel codec takes its pool from the policy,
-//  - an ArchiveWriter's pinned mode no longer perturbs unrelated
-//    concurrent compress() calls (the retired global-pin hazard).
+//  - an ArchiveWriter's pinned mode does not perturb unrelated concurrent
+//    compress() calls, and does not change the archive's bytes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +22,7 @@
 #include "common/exec_policy.hpp"
 #include "core/compressor.hpp"
 #include "data/generators.hpp"
+#include "data/io.hpp"
 #include "parallel/parallel_codec.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -29,15 +30,11 @@ namespace sz14 {
 namespace {
 
 constexpr HotPathMode kAllModes[] = {HotPathMode::kFast,
-                                     HotPathMode::kReference,
-                                     HotPathMode::kTurbo};
+                                     HotPathMode::kReference};
+constexpr std::size_t kModes = std::size(kAllModes);
 
 const char* mode_name(HotPathMode m) {
-  switch (m) {
-    case HotPathMode::kFast: return "fast";
-    case HotPathMode::kReference: return "reference";
-    default: return "turbo";
-  }
+  return m == HotPathMode::kFast ? "fast" : "reference";
 }
 
 template <typename T>
@@ -51,8 +48,8 @@ TEST(ExecPolicyConcurrency, MixedModeThreadsMatchSequentialStreams) {
   base.eb_abs = 1e-3;
 
   // Sequential golden stream per mode.
-  std::vector<std::uint8_t> golden[3];
-  for (int m = 0; m < 3; ++m) {
+  std::vector<std::uint8_t> golden[kModes];
+  for (std::size_t m = 0; m < kModes; ++m) {
     Options o = base;
     o.exec.mode = kAllModes[m];
     golden[m] = compress(f.values, f.dims, o);
@@ -63,10 +60,10 @@ TEST(ExecPolicyConcurrency, MixedModeThreadsMatchSequentialStreams) {
   // sets by thread identity, so this must never race or cross-pollute).
   constexpr int kPerMode = 4;
   CodecScratch shared_scratch;
-  std::vector<std::uint8_t> streams[3 * kPerMode];
+  std::vector<std::uint8_t> streams[kModes * kPerMode];
   {
     std::vector<std::thread> threads;
-    for (int m = 0; m < 3; ++m) {
+    for (std::size_t m = 0; m < kModes; ++m) {
       for (int t = 0; t < kPerMode; ++t) {
         threads.emplace_back([&, m, t] {
           Options o = base;
@@ -78,7 +75,7 @@ TEST(ExecPolicyConcurrency, MixedModeThreadsMatchSequentialStreams) {
     }
     for (auto& th : threads) th.join();
   }
-  for (int m = 0; m < 3; ++m)
+  for (std::size_t m = 0; m < kModes; ++m)
     for (int t = 0; t < kPerMode; ++t)
       EXPECT_EQ(streams[m * kPerMode + t], golden[m])
           << mode_name(kAllModes[m]) << " thread " << t;
@@ -97,7 +94,7 @@ TEST(ExecPolicyConcurrency, MixedModeConcurrentDecodeBitIdentical) {
     for (int i = 0; i < 6; ++i) {
       threads.emplace_back([&, i] {
         outs[i] = decompress(
-                      stream, ExecPolicy::with_mode(kAllModes[i % 3]))
+                      stream, ExecPolicy::with_mode(kAllModes[i % kModes]))
                       .data;
       });
     }
@@ -166,18 +163,11 @@ TEST(CodecScratchTest, SharedArenaAcrossPoolWorkers) {
 }
 
 TEST(ExecPolicyTest, UnsetModeIsFastAndPerCallModeApplies) {
-  // Constant field: interior predictions are exact, so the fast walk's
-  // strict-hit counter is ~n while the turbo walk (which skips the
-  // advisory statistic) reports 0 — an observable mode-specific effect.
-  const std::vector<float> values(1024, 1.0f);
-  const Dims dims{1024};
-  const auto unset = prediction_quantization_pass(
-      values, dims, 1, 8, 1e-3);  // policy unset -> kFast
-  EXPECT_GT(unset.strict_hits, 0u);
-  const auto turbo = prediction_quantization_pass(
-      values, dims, 1, 8, 1e-3, false,
-      ExecPolicy::with_mode(HotPathMode::kTurbo));
-  EXPECT_EQ(turbo.strict_hits, 0u);
+  EXPECT_EQ(ExecPolicy{}.resolved_mode(), HotPathMode::kFast);
+  EXPECT_EQ(Options{}.exec.resolved_mode(), HotPathMode::kFast);
+  for (const HotPathMode mode : kAllModes)
+    EXPECT_EQ(ExecPolicy::with_mode(mode).resolved_mode(), mode)
+        << mode_name(mode);
 }
 
 TEST(ExecPolicyTest, ParallelPoolComesFromPolicy) {
@@ -205,64 +195,69 @@ TEST(ExecPolicyTest, ParallelPoolComesFromPolicy) {
               1e-3);
 }
 
-TEST(ExecPolicyConcurrency, TurboArchiveWriterDoesNotPerturbOtherCalls) {
-  // The retired hazard: a turbo-pinned ArchiveWriter used to flip a
-  // process-global selector around every append, silently turning
-  // unrelated concurrent compress() calls turbo.  With per-writer policy,
-  // a fast compression racing a turbo ingest must stay bit-identical to
-  // the sequential fast stream.
+TEST(ExecPolicyConcurrency, ReferenceWriterKeepsOtherCallsBitIdentical) {
+  // The retired hazard: a mode-pinned ArchiveWriter used to flip a
+  // process-global selector around every append, silently switching
+  // unrelated concurrent compress() calls.  With per-writer policy, a fast
+  // compression racing a reference-mode ingest must stay bit-identical to
+  // the sequential fast stream, and the archive must be byte-identical to
+  // one written in the default mode.
   const auto f = data::hurricane3d(12, 20, 20);
   Options fast;
   fast.eb_abs = 1e-3;
   fast.exec.mode = HotPathMode::kFast;
   const auto golden = compress(f.values, f.dims, fast);
 
-  const std::string path = testing::TempDir() + "exec_policy_turbo.sza";
-  {
-    archive::ArchiveWriter writer(
-        path, 2, ExecPolicy::with_mode(HotPathMode::kTurbo));
-    std::vector<std::uint8_t> racing;
-    std::thread racer(
-        [&] { racing = compress(f.values, f.dims, fast); });
+  const auto write = [&](const std::string& path, const ExecPolicy& policy) {
+    archive::ArchiveWriter writer(path, 2, policy);
     for (int t = 0; t < 3; ++t)
       writer.append_field("v/t" + std::to_string(t), f.values, f.dims,
                           Dims{6, 10, 10}, "sz14", 1e-3);
-    racer.join();
     writer.finish();
-    EXPECT_EQ(racing, golden);
-  }
-  // The turbo archive itself stays bound-conformant.
-  archive::ArchiveReader reader(path);
+  };
+  const std::string ref_path = testing::TempDir() + "exec_policy_ref.sza";
+  const std::string fast_path = testing::TempDir() + "exec_policy_fast.sza";
+  std::vector<std::uint8_t> racing;
+  std::thread racer([&] { racing = compress(f.values, f.dims, fast); });
+  write(ref_path, ExecPolicy::with_mode(HotPathMode::kReference));
+  racer.join();
+  EXPECT_EQ(racing, golden);
+  write(fast_path, ExecPolicy{});
+  EXPECT_EQ(data::read_bytes(ref_path), data::read_bytes(fast_path));
+
+  archive::ArchiveReader reader(ref_path);
   const auto back = reader.read_field("v/t1");
   ASSERT_EQ(back.size(), f.values.size());
   for (std::size_t i = 0; i < f.values.size(); ++i)
     ASSERT_LE(std::fabs(static_cast<double>(f.values[i]) -
                         static_cast<double>(back[i])),
               1e-3);
-  std::remove(path.c_str());
+  std::remove(ref_path.c_str());
+  std::remove(fast_path.c_str());
 }
 
 TEST(ExecPolicyConcurrency, ConcurrentParallelCodecsWithDistinctPolicies) {
   // Two whole-field slab compressions racing on separate pools with
   // different modes: each must equal its own sequential-policy stream.
   const auto f = data::climate2d(64, 64);
-  Options fast, turbo;
-  fast.eb_abs = turbo.eb_abs = 1e-3;
+  Options fast, ref;
+  fast.eb_abs = ref.eb_abs = 1e-3;
   fast.exec.mode = HotPathMode::kFast;
-  turbo.exec.mode = HotPathMode::kTurbo;
+  ref.exec.mode = HotPathMode::kReference;
   fast.exec.threads = 2;
-  turbo.exec.threads = 2;
+  ref.exec.threads = 2;
 
   const auto golden_fast = parallel_compress(f.values, f.dims, fast, 4);
-  const auto golden_turbo = parallel_compress(f.values, f.dims, turbo, 4);
+  const auto golden_ref = parallel_compress(f.values, f.dims, ref, 4);
+  EXPECT_EQ(golden_fast.stream, golden_ref.stream);
 
   ParallelResult a, b;
   std::thread ta([&] { a = parallel_compress(f.values, f.dims, fast, 4); });
-  std::thread tb([&] { b = parallel_compress(f.values, f.dims, turbo, 4); });
+  std::thread tb([&] { b = parallel_compress(f.values, f.dims, ref, 4); });
   ta.join();
   tb.join();
   EXPECT_EQ(a.stream, golden_fast.stream);
-  EXPECT_EQ(b.stream, golden_turbo.stream);
+  EXPECT_EQ(b.stream, golden_ref.stream);
 }
 
 }  // namespace

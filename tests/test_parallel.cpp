@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/hotpath.hpp"
 #include "data/generators.hpp"
 #include "parallel/io_model.hpp"
 #include "parallel/parallel_codec.hpp"
@@ -169,28 +168,6 @@ TEST(ParallelCodec, StreamIsDeterministicAcrossRepeatedRuns) {
   EXPECT_EQ(a.stream, c.stream);
 }
 
-TEST(ParallelCodec, TurboStreamDeterministicAndConformant) {
-  const auto f = data::hurricane3d(12, 16, 16);
-  Options opts;
-  opts.eb_abs = 1e-3;
-  opts.exec.mode = HotPathMode::kTurbo;
-  const auto a = compress_with(f.values, f.dims, opts, 1, 4);
-  const auto b = compress_with(f.values, f.dims, opts, 4, 4);
-  EXPECT_EQ(a.stream, b.stream);
-  // Cross-check: a turbo slab container decodes through parallel_decompress
-  // within the bound, at any worker count.
-  for (const std::size_t threads : {1u, 3u}) {
-    ExecPolicy exec = opts.exec;
-    exec.threads = threads;
-    const auto out = parallel_decompress(a.stream, exec);
-    ASSERT_EQ(out.data.size(), f.values.size());
-    for (std::size_t i = 0; i < f.values.size(); ++i)
-      ASSERT_LE(std::fabs(static_cast<double>(f.values[i]) -
-                          static_cast<double>(out.data[i])),
-                1e-3);
-  }
-}
-
 TEST(ParallelCodec, RansBackendRoundTripsAndIsWorkerCountInvariant) {
   // The rANS backend shares one normalized frequency table across slabs
   // exactly like the Huffman path: same chunk count => byte-identical
@@ -305,6 +282,30 @@ TEST(ParallelCodec, PredictableCountAggregates) {
 TEST(ParallelCodec, MalformedStreamThrows) {
   const std::vector<std::uint8_t> junk = {1, 2, 3, 4, 5, 6, 7, 8};
   EXPECT_THROW((void)parallel_decompress(junk, 2), std::runtime_error);
+
+  // Header fields the decoder cannot honour are malformed streams, caught
+  // before any entropy decode.  Layout of a 16x20x24 container: magic (4
+  // bytes), rank (1), three one-byte extent varints, chunk varint (1),
+  // eb (8), interval bits (1), layers (1).
+  const auto f = data::hurricane3d(16, 20, 24);
+  Options opts;
+  opts.eb_abs = 1e-3;
+  const auto good = compress_with(f.values, f.dims, opts, 2, 4).stream;
+  constexpr std::size_t kRank = 4, kExtent0 = 5, kLayers = 18;
+  ASSERT_EQ(good[kRank], 3);
+  ASSERT_EQ(good[kExtent0], 16);
+  ASSERT_EQ(good[kLayers], 1);
+  const struct {
+    std::size_t at;
+    std::uint8_t value;
+  } patches[] = {{kLayers, 0},  {kLayers, 9}, {kLayers, 255},
+                 {kExtent0, 0}, {kRank, 0},   {kRank, 5}};
+  for (const auto& p : patches) {
+    auto bad = good;
+    bad[p.at] = p.value;
+    EXPECT_THROW((void)parallel_decompress(bad, 2), std::runtime_error)
+        << "byte " << p.at << " = " << int{p.value};
+  }
 }
 
 TEST(IoModelTest, BandwidthSaturates) {

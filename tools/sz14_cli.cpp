@@ -89,7 +89,6 @@ struct Args {
   Options opts;
   double pwrel = std::numeric_limits<double>::quiet_NaN();
   std::size_t threads = 1;  // > 1 selects the parallel slab container
-  bool turbo = false;
 };
 
 [[noreturn]] void usage(const char* why) {
@@ -98,7 +97,7 @@ struct Args {
                "usage:\n"
                "  sz14 compress   -i IN -o OUT -d D1xD2[xD3[xD4]] "
                "(--abs EB | --rel EB | --pwrel P) [--dtype f32|f64] "
-               "[-m BITS] [-n LAYERS] [--decorrelate] [--turbo] "
+               "[-m BITS] [-n LAYERS] [--decorrelate] "
                "[--entropy huffman|rans] "
                "[-t THREADS]   (-t: f32 slab container; 0 = all cores)\n"
                "  sz14 decompress -i IN -o OUT [-t THREADS]\n"
@@ -107,7 +106,7 @@ struct Args {
                "[--dtype f32|f64]\n"
                "  sz14 archive create  -o OUT --field NAME=FILE:DIMS "
                "[--field ...] [--codec C] (--abs EB | --rel R) "
-               "[--dtype f32|f64] [--block DIMS] [-t THREADS] [--turbo] "
+               "[--dtype f32|f64] [--block DIMS] [-t THREADS] "
                "[--entropy huffman|rans] [--parity [--parity-group N]] "
                "[--shard-size BYTES[K|M|G]]\n"
                "  sz14 archive ls      -i IN\n"
@@ -284,8 +283,6 @@ Args parse(int argc, char** argv) {
       a.opts.decorrelate = true;
     } else if (flag == "-t") {
       a.threads = parse_count(next(), "-t");
-    } else if (flag == "--turbo") {
-      a.turbo = true;
     } else if (flag == "--entropy") {
       a.opts.exec.entropy = parse_entropy(next());
     } else {
@@ -310,11 +307,7 @@ int cmd_compress(const Args& a) {
   if (a.output.empty() || a.dims_text.empty())
     usage("compress needs -o and -d");
   const Dims dims = parse_dims(a.dims_text);
-  // --turbo selects the reciprocal-multiply kernels for this call via the
-  // per-call ExecPolicy; the stream stays |x - x'| <= eb conformant and
-  // decodes normally.  Nothing process-wide is touched.
   Options opts = a.opts;
-  if (a.turbo) opts.exec.mode = HotPathMode::kTurbo;
   CompressStats stats;
   Timer timer;
   std::vector<std::uint8_t> stream;
@@ -505,7 +498,6 @@ struct ArchiveArgs {
   std::size_t parity_group = 0;  // 0 = parity off
   std::uint64_t shard_size = 0;  // 0 = single-file .sza layout
   EntropyBackend entropy = EntropyBackend::kHuffman;
-  bool turbo = false;
   bool repair = false;
   bool salvage = false;
   bool degraded = false;
@@ -547,8 +539,6 @@ ArchiveArgs parse_archive(int argc, char** argv) {
       a.eb_rel = std::stod(next());
     } else if (flag == "-t") {
       a.threads = parse_count(next(), "-t");
-    } else if (flag == "--turbo") {
-      a.turbo = true;
     } else if (flag == "--entropy") {
       a.entropy = parse_entropy(next());
     } else if (flag == "--limit") {
@@ -634,10 +624,8 @@ int cmd_archive_create(const ArchiveArgs& a) {
   if (ops->lossy && std::isnan(a.eb_abs) && std::isnan(a.eb_rel))
     usage("lossy archive codecs need --abs or --rel");
 
-  // --turbo and --entropy ride the writer's per-call ExecPolicy; nothing
-  // global moves.
+  // --entropy rides the writer's per-call ExecPolicy; nothing global moves.
   ExecPolicy policy;
-  if (a.turbo) policy.mode = HotPathMode::kTurbo;
   policy.entropy = a.entropy;
   archive::ArchiveWriter writer(a.output, a.threads, policy,
                                 static_cast<std::uint32_t>(a.parity_group),
